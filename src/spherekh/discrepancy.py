@@ -21,12 +21,13 @@ import numpy as np
 from .geom import (
     MatchedPartition,
     Scattering,
+    _reduce_on_grid,
+    _sampled_mesh_norm,
     _thread_count,
     equal_area_partition,
     match_partition_to_scattering,
     mesh_norm,
     partition_norm,
-    reduce_scattering,
     representatives,
 )
 from .harmonic import HarmonicField, apply_D_values, expand_field, field_values
@@ -354,7 +355,8 @@ def reduction_pipeline(
         )
     if not 0 < r0 < 1:
         raise ValueError(f"r0 must lie in (0, 1), got {r0}")
-    estimate = mesh_norm(scattering, resolution)
+    # one sample grid serves the gate and the reduction
+    samples, estimate = _sampled_mesh_norm(scattering, resolution)
     gate_constant = 8 * d * math.sqrt(2 * d * (d + 1))
     gate_quotient = (d - 1) * gate_constant * mu.mass * estimate.upper / epsilon
     if gate_quotient >= 1.0:
@@ -364,7 +366,7 @@ def reduction_pipeline(
             f"{gate_quotient:.6g} >= 1 (mesh norm upper estimate "
             f"{estimate.upper:.6g}, mass {mu.mass:.6g}, epsilon {epsilon:.6g})"
         )
-    reduction = reduce_scattering(scattering, resolution)
+    reduction = _reduce_on_grid(scattering, samples, estimate)
     pnorm = reduction.partition_norm
     window_quotient = (d - 1) * mu.mass * pnorm / epsilon
     if window_quotient >= 1.0:

@@ -216,8 +216,8 @@ def read_field(path) -> HarmonicField:
     """Charge list from JSON {"charges": [{"location": […], "strength": w}]}."""
     path = Path(path)
     doc = json.loads(path.read_text())
-    if "charges" not in doc:
-        raise ValueError(f"{path}: missing 'charges' key")
+    if not isinstance(doc, dict) or not isinstance(doc.get("charges"), list):
+        raise ValueError(f"{path}: expected a JSON object with a 'charges' list")
     charges = []
     for i, entry in enumerate(doc["charges"]):
         try:
@@ -251,12 +251,12 @@ def partition_payload(partition: Partition) -> dict:
         "d": partition.dim,
         "n": partition.size,
         "regions": [
-            {
-                "area": region.area,
-                "diameter": region.diameter,
-                "representative": region.representative,
-            }
-            for region in partition.regions
+            {"area": a, "diameter": dm, "representative": rep}
+            for a, dm, rep in zip(
+                partition.areas.tolist(),
+                partition.diameters.tolist(),
+                partition.reps.tolist(),
+            )
         ],
     }
 

@@ -24,7 +24,6 @@ from .specfun import surface_area
 
 __all__ = [
     "Scattering",
-    "Region",
     "Partition",
     "CirclePartition",
     "ZonalPartition",
@@ -137,24 +136,21 @@ class Scattering:
         return len(self.points)
 
 
-@dataclass
-class Region:
-    """One partition cell: exact area, exact diameter, a point inside it."""
-
-    area: float
-    diameter: float
-    representative: np.ndarray
-
-
 class Partition:
-    """Base interface: a list of regions plus a total membership function."""
+    """Base interface: per-cell arrays plus a total membership function.
+
+    Per-cell ``areas`` and ``diameters`` of shape (n,); ``reps`` of shape
+    (n, dim + 1) holds a point inside each cell.
+    """
 
     dim: int
-    regions: list
+    areas: np.ndarray
+    diameters: np.ndarray
+    reps: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.regions)
+        return len(self.areas)
 
     def region_index(self, points) -> np.ndarray:
         raise NotImplementedError
@@ -162,15 +158,12 @@ class Partition:
 
 def partition_norm(partition: Partition) -> float:
     """Largest region diameter."""
-    return max(r.diameter for r in partition.regions)
+    return float(partition.diameters.max())
 
 
 def representatives(partition: Partition) -> np.ndarray:
-    return np.array([r.representative for r in partition.regions])
-
-
-def _arc_diameter(width: float) -> float:
-    return 2.0 * math.sin(min(width, math.pi) / 2.0)
+    """A fresh (n, dim + 1) array of the region representatives."""
+    return partition.reps.copy()
 
 
 class CirclePartition(Partition):
@@ -187,12 +180,12 @@ class CirclePartition(Partition):
             raise ValueError("need at least one arc")
         self.count = count
         self.width = 2.0 * math.pi / count
-        diam = _arc_diameter(self.width)
-        mids = (np.arange(count) + 0.5) * self.width
-        self.regions = [
-            Region(self.width, diam, np.array([math.cos(a), math.sin(a)]))
-            for a in mids
-        ]
+        self.areas = np.full(count, self.width)
+        self.diameters = np.full(count, 2.0 * math.sin(min(self.width, math.pi) / 2.0))
+        # math.cos/sin rather than their numpy ufuncs, which may round
+        # differently and would change exported representatives
+        mids = ((np.arange(count) + 0.5) * self.width).tolist()
+        self.reps = np.column_stack([list(map(math.cos, mids)), list(map(math.sin, mids))])
 
     def region_index(self, points) -> np.ndarray:
         arr = np.atleast_2d(np.asarray(points, dtype=float))
@@ -232,11 +225,6 @@ def _band_diameter_sq(t_lo: float, t_hi: float, sub_diameter: float) -> float:
     return min(best, 4.0)
 
 
-def _embed(xi: np.ndarray, t: float) -> np.ndarray:
-    s = math.sqrt(max(1.0 - t * t, 0.0))
-    return np.concatenate([s * xi, [t]])
-
-
 @dataclass
 class _Band:
     t_hi: float
@@ -257,38 +245,39 @@ class ZonalPartition(Partition):
     def __init__(self, dim: int, bands: list):
         self.dim = dim
         self.bands = bands
-        self.regions = []
+        n = sum(band.count for band in bands)
+        self.areas = np.empty(n)
+        self.diameters = np.empty(n)
+        self.reps = np.empty((n, dim + 1))
         area = surface_area(dim)
 
         def frac(t: float) -> float:
             return float(betainc(dim / 2.0, dim / 2.0, (1.0 - t) / 2.0))
 
         for band in bands:
+            cells = slice(band.offset, band.offset + band.count)
             band_area = area * (frac(band.t_lo) - frac(band.t_hi))
-            cell_area = band_area / band.count
-            t_mid = math.cos(
-                (math.acos(band.t_hi) + math.acos(band.t_lo)) / 2.0
-            )
+            self.areas[cells] = band_area / band.count
             if band.sub is None:
-                diam = math.sqrt(_band_diameter_sq(band.t_lo, band.t_hi, 2.0))
-                if band.t_hi >= 1.0:
-                    rep = np.zeros(dim + 1)
-                    rep[dim] = 1.0
-                elif band.t_lo <= -1.0:
-                    rep = np.zeros(dim + 1)
-                    rep[dim] = -1.0
-                else:
-                    xi = np.zeros(dim)
-                    xi[0] = 1.0
-                    rep = _embed(xi, t_mid)
-                self.regions.append(Region(cell_area, diam, rep))
+                # one cell spanning the band: its sub-cell is all of S^(dim-1)
+                sub_diams, which, sub_reps = np.array([2.0]), 0, np.eye(1, dim)
             else:
-                for sub_region in band.sub.regions:
-                    diam = math.sqrt(
-                        _band_diameter_sq(band.t_lo, band.t_hi, sub_region.diameter)
-                    )
-                    rep = _embed(sub_region.representative, t_mid)
-                    self.regions.append(Region(cell_area, diam, rep))
+                # the band diameter depends on a sub-cell only through its
+                # diameter, and sub-cells share a handful of distinct ones
+                sub_diams, which = np.unique(band.sub.diameters, return_inverse=True)
+                sub_reps = band.sub.reps
+            band_diams = [
+                math.sqrt(_band_diameter_sq(band.t_lo, band.t_hi, sub_d))
+                for sub_d in sub_diams.tolist()
+            ]
+            self.diameters[cells] = np.asarray(band_diams)[which]
+            t_mid = math.cos((math.acos(band.t_hi) + math.acos(band.t_lo)) / 2.0)
+            self.reps[cells, :dim] = math.sqrt(max(1.0 - t_mid * t_mid, 0.0)) * sub_reps
+            self.reps[cells, dim] = t_mid
+            if band.t_hi >= 1.0 or band.t_lo <= -1.0:
+                # a polar cap is represented by its pole
+                self.reps[cells] = 0.0
+                self.reps[cells, dim] = 1.0 if band.t_hi >= 1.0 else -1.0
 
     def region_index(self, points) -> np.ndarray:
         arr = np.atleast_2d(np.asarray(points, dtype=float))
@@ -395,9 +384,9 @@ class MatchedPartition(Partition):
     def __init__(self, base: Partition, reps: np.ndarray):
         self.base = base
         self.dim = base.dim
-        self.regions = [
-            Region(r.area, r.diameter, reps[i]) for i, r in enumerate(base.regions)
-        ]
+        self.areas = base.areas
+        self.diameters = base.diameters
+        self.reps = reps
 
     def region_index(self, points) -> np.ndarray:
         return self.base.region_index(points)
@@ -478,10 +467,18 @@ class MeshNormEstimate:
         return self.value + self.resolution_error
 
 
-def _mesh_norm_from_samples(
-    samples: np.ndarray, sample_error: float, points: np.ndarray
-) -> MeshNormEstimate:
-    return MeshNormEstimate(_max_min_distance(samples, points), sample_error)
+def _sampled_mesh_norm(
+    scattering: Scattering, resolution: int | None
+) -> tuple[np.ndarray, MeshNormEstimate]:
+    """The sample grid of ``mesh_norm`` and the estimate taken on it."""
+    res = int(resolution) if resolution is not None else 16 * len(scattering)
+    if res < 1:
+        raise ValueError("resolution must be positive")
+    grid = equal_area_partition(scattering.dim, res)
+    estimate = MeshNormEstimate(
+        _max_min_distance(grid.reps, scattering.points), partition_norm(grid)
+    )
+    return grid.reps, estimate
 
 
 def mesh_norm(scattering: Scattering, resolution: int | None = None) -> MeshNormEstimate:
@@ -490,12 +487,7 @@ def mesh_norm(scattering: Scattering, resolution: int | None = None) -> MeshNorm
     Samples the distance-to-nearest-point at the centers of an equal-area
     partition with ``resolution`` cells (default 16 per scattering point).
     """
-    res = int(resolution) if resolution is not None else 16 * len(scattering)
-    if res < 1:
-        raise ValueError("resolution must be positive")
-    grid = equal_area_partition(scattering.dim, res)
-    samples = representatives(grid)
-    return _mesh_norm_from_samples(samples, partition_norm(grid), scattering.points)
+    return _sampled_mesh_norm(scattering, resolution)[1]
 
 
 @dataclass
@@ -524,24 +516,27 @@ class MergedPartition(Partition):
     def __init__(self, base: Partition, groups: list[list[int]], reps: np.ndarray):
         self.base = base
         self.dim = base.dim
+        self.reps = reps
         self._assign = np.full(base.size, -1, dtype=np.int64)
-        base_reps = representatives(base)
-        self.regions = []
+        self._assign[np.concatenate(groups)] = np.repeat(
+            np.arange(len(groups)), [len(cells) for cells in groups]
+        )
+        heads = [cells[0] for cells in groups]
+        self.areas, self.diameters = base.areas[heads], base.diameters[heads]
+        areas, diams = base.areas.tolist(), base.diameters.tolist()
         for g, cells in enumerate(groups):
-            for c in cells:
-                self._assign[c] = g
-            area = sum(base.regions[c].area for c in cells)
+            if len(cells) == 1:
+                continue
+            self.areas[g] = sum(areas[c] for c in cells)
             diam = 0.0
             for a in cells:
-                ra = base.regions[a]
-                diam = max(diam, ra.diameter)
+                diam = max(diam, diams[a])
                 for b in cells:
                     if b <= a:
                         continue
-                    rb = base.regions[b]
-                    gap = float(np.linalg.norm(base_reps[a] - base_reps[b]))
-                    diam = max(diam, ra.diameter + gap + rb.diameter)
-            self.regions.append(Region(area, min(diam, 2.0), reps[g]))
+                    gap = float(np.linalg.norm(base.reps[a] - base.reps[b]))
+                    diam = max(diam, diams[a] + gap + diams[b])
+            self.diameters[g] = min(diam, 2.0)
 
     def region_index(self, points) -> np.ndarray:
         return self._assign[self.base.region_index(points)]
@@ -558,13 +553,15 @@ def reduce_scattering(
     into the cell whose scattering point is nearest their center, keeping a
     partition matched to the kept points with certified diameters.
     """
+    return _reduce_on_grid(scattering, *_sampled_mesh_norm(scattering, resolution))
+
+
+def _reduce_on_grid(
+    scattering: Scattering, samples: np.ndarray, est_orig: MeshNormEstimate
+) -> ReductionResult:
+    """``reduce_scattering`` given its sample grid and the original estimate."""
     dim = scattering.dim
     pts = scattering.points
-    res = int(resolution) if resolution is not None else 16 * len(scattering)
-    grid = equal_area_partition(dim, res)
-    samples = representatives(grid)
-    sample_err = partition_norm(grid)
-    est_orig = _mesh_norm_from_samples(samples, sample_err, pts)
     target = 2.0 * est_orig.upper
 
     n_cells = len(scattering)
@@ -584,17 +581,15 @@ def reduce_scattering(
     # point of each, which is the kept representative
     occupied, first = np.unique(idx, return_index=True)
     kept_points = pts[first]
-    cell_to_group = {int(c): g for g, c in enumerate(occupied)}
     groups: list[list[int]] = [[int(c)] for c in occupied]
-    base_reps = representatives(base)
-    empty = np.setdiff1d(np.arange(base.size), occupied)
-    for c in empty:
-        dots = pts @ base_reps[c]
-        host = int(idx[int(np.argmax(dots))])
-        groups[cell_to_group[host]].append(int(c))
+    for c in np.setdiff1d(np.arange(base.size), occupied):
+        host = idx[int(np.argmax(pts @ base.reps[c]))]
+        groups[int(np.searchsorted(occupied, host))].append(int(c))
     merged = MergedPartition(base, groups, kept_points)
     reduced = Scattering(kept_points, label=scattering.label)
-    est_red = _mesh_norm_from_samples(samples, sample_err, reduced.points)
+    est_red = MeshNormEstimate(
+        _max_min_distance(samples, reduced.points), est_orig.resolution_error
+    )
     pnorm = partition_norm(merged)
     ratio = pnorm / max(est_orig.value, 1e-300)
     reference = 8.0 * dim * math.sqrt(2.0 * dim * (dim + 1))

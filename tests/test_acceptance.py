@@ -292,9 +292,8 @@ def test_criterion_8_equal_area_partition(announce):
     worst_area = 0.0
     for n in (1, 2, 3, 5, 7, 12, 16, 33, 64, 100, 256, 500, 1024, 2048, 4096):
         part = equal_area_partition(2, n)
-        areas = np.array([region.area for region in part.regions])
         worst_area = max(
-            worst_area, float(np.max(np.abs(areas * n / area - 1.0)))
+            worst_area, float(np.max(np.abs(part.areas * n / area - 1.0)))
         )
     scaled = []
     for n in (64, 128, 256, 512, 1024, 2048, 4096):

@@ -136,6 +136,12 @@ def test_broken_measure_exits_2(inputs, capsys):
     code = main(["verify-identity", "--field", field, "--sigma", str(broken)])
     assert code == 2
     assert "point 1" in capsys.readouterr().err
+    for i, text in enumerate(('{"charges": 5}', "[1, 2]")):
+        bad = tmp / f"bad_field_{i}.json"
+        bad.write_text(text)
+        code = main(["verify-identity", "--field", str(bad), "--sigma", sigma])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(inputs, capsys):

@@ -147,9 +147,15 @@ def test_field_round_trip(tmp_path):
 
 def test_field_errors(tmp_path):
     path = tmp_path / "f.json"
-    path.write_text('{"notcharges": []}')
-    with pytest.raises(ValueError, match="charges"):
-        read_field(path)
+    for text, message in (
+        ('{"notcharges": []}', "charges"),
+        ('{"charges": 5}', "'charges' list"),
+        ("[1, 2]", "JSON object"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            read_field(path)
+        assert str(path) in str(info.value)
     path.write_text('{"charges": [{"location": [0, 0, 0]}]}')
     with pytest.raises(ValueError, match="charge 0"):
         read_field(path)

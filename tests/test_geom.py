@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scipy.special import betainc
+
+from spherekh.fileio import json_dumps, partition_payload
 from spherekh.geom import (
     CirclePartition,
     PartitionMatchError,
     Scattering,
+    _band_diameter_sq,
     equal_area_partition,
     euclidean_distance,
     match_partition_to_scattering,
@@ -65,10 +69,10 @@ def test_whole_sphere_and_hemispheres():
     whole = equal_area_partition(2, 1)
     assert whole.size == 1
     assert partition_norm(whole) == 2.0
-    assert_allclose(whole.regions[0].area, surface_area(2), rtol=1e-15)
+    assert_allclose(whole.areas[0], surface_area(2), rtol=1e-15)
     halves = equal_area_partition(2, 2)
-    assert [r.diameter for r in halves.regions] == [2.0, 2.0]
-    assert_allclose([r.area for r in halves.regions], surface_area(2) / 2, rtol=1e-15)
+    assert halves.diameters.tolist() == [2.0, 2.0]
+    assert_allclose(halves.areas, surface_area(2) / 2, rtol=1e-15)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -76,21 +80,20 @@ def test_whole_sphere_and_hemispheres():
 def test_equal_area_partition_areas_exact(dim, n):
     part = equal_area_partition(dim, n)
     assert part.size == n
-    areas = np.array([r.area for r in part.regions])
-    assert_allclose(areas, surface_area(dim) / n, rtol=1e-12)
+    assert_allclose(part.areas, surface_area(dim) / n, rtol=1e-12)
 
 
 def test_known_cap_and_band_diameters():
     # n=4 on S^2: caps cover t in [1/2, 1] with diameter sqrt(3); the two
     # half-collar cells reach antipodal-like pairs of length 2
     part = equal_area_partition(2, 4)
-    diams = [r.diameter for r in part.regions]
+    diams = part.diameters
     assert_allclose(diams[0], math.sqrt(3.0), rtol=1e-12)
     assert_allclose(diams[-1], math.sqrt(3.0), rtol=1e-12)
     assert_allclose(diams[1], 2.0, rtol=1e-12)
     # n=3: middle band spans t in [-1/3, 1/3] around the full equator
     part3 = equal_area_partition(2, 3)
-    assert_allclose(part3.regions[1].diameter, 2.0, rtol=1e-12)
+    assert_allclose(part3.diameters[1], 2.0, rtol=1e-12)
 
 
 def test_diameter_dominates_sampled_pairs():
@@ -105,7 +108,7 @@ def test_diameter_dominates_sampled_pairs():
                 continue
             dots = cell @ cell.T
             sampled = math.sqrt(max(float(np.max(2.0 - 2.0 * dots)), 0.0))
-            assert sampled <= part.regions[k].diameter + 1e-12
+            assert sampled <= part.diameters[k] + 1e-12
 
 
 def test_diameter_scaling_constant():
@@ -261,7 +264,7 @@ def test_reduce_chain_and_matching_properties():
         assert result.mesh_norm_reduced.value <= result.partition_norm + 1e-12
         idx = part.region_index(kept.points)
         assert np.array_equal(np.sort(idx), np.arange(len(kept)))
-        areas = sum(r.area for r in part.regions)
+        areas = part.areas.sum()
         assert_allclose(areas, surface_area(2), rtol=1e-9)
 
 
@@ -270,3 +273,97 @@ def test_equal_area_partition_rejects_bad_input():
         equal_area_partition(1, 5)
     with pytest.raises(ValueError):
         equal_area_partition(2, 0)
+
+
+def _reference_cells(part):
+    """(area, diameter, representative) of every cell, built one at a time.
+
+    This is the per-cell construction that the array build replaced, kept
+    as its oracle: it takes only the band layout from ``part`` and the
+    scalar band-diameter formula from the library.
+    """
+    if isinstance(part, CirclePartition):
+        diam = 2.0 * math.sin(min(part.width, math.pi) / 2.0)
+        mids = (np.arange(part.count) + 0.5) * part.width
+        return [(part.width, diam, np.array([math.cos(a), math.sin(a)])) for a in mids]
+    dim = part.dim
+    area = surface_area(dim)
+
+    def frac(t):
+        return float(betainc(dim / 2.0, dim / 2.0, (1.0 - t) / 2.0))
+
+    def embed(xi, t):
+        s = math.sqrt(max(1.0 - t * t, 0.0))
+        return np.concatenate([s * xi, [t]])
+
+    cells = []
+    for band in part.bands:
+        band_area = area * (frac(band.t_lo) - frac(band.t_hi))
+        cell_area = band_area / band.count
+        t_mid = math.cos((math.acos(band.t_hi) + math.acos(band.t_lo)) / 2.0)
+        if band.sub is None:
+            diam = math.sqrt(_band_diameter_sq(band.t_lo, band.t_hi, 2.0))
+            rep = np.zeros(dim + 1)
+            if band.t_hi >= 1.0:
+                rep[dim] = 1.0
+            elif band.t_lo <= -1.0:
+                rep[dim] = -1.0
+            else:
+                xi = np.zeros(dim)
+                xi[0] = 1.0
+                rep = embed(xi, t_mid)
+            cells.append((cell_area, diam, rep))
+        else:
+            for _, sub_diam, sub_rep in _reference_cells(band.sub):
+                diam = math.sqrt(_band_diameter_sq(band.t_lo, band.t_hi, sub_diam))
+                cells.append((cell_area, diam, embed(sub_rep, t_mid)))
+    return cells
+
+
+@pytest.mark.parametrize(
+    "dim, n",
+    [(2, 1), (2, 2), (2, 3), (2, 50), (2, 44800), (3, 500), (3, 10000), (4, 2000), (5, 700)],
+)
+def test_partition_arrays_match_per_cell_reference(dim, n):
+    part = equal_area_partition(dim, n)
+    cells = _reference_cells(part)
+    assert np.array_equal(part.areas, np.array([c[0] for c in cells]))
+    assert np.array_equal(part.diameters, np.array([c[1] for c in cells]))
+    assert np.array_equal(part.reps, np.array([c[2] for c in cells]))
+    reference = {
+        "d": dim,
+        "n": n,
+        "regions": [
+            {"area": a, "diameter": dm, "representative": r} for a, dm, r in cells
+        ],
+    }
+    assert json_dumps(partition_payload(part)) == json_dumps(reference)
+
+
+def test_merged_partition_matches_pairwise_reference():
+    sc = Scattering(random_points(2, 1000, np.random.default_rng(29)))
+    merged = reduce_scattering(sc).partition
+    base = merged.base
+    # every base representative lies in its own cell, so this is the
+    # cell -> group map; a group's kept point lies in its first cell
+    group_of = merged.region_index(base.reps)
+    heads = base.region_index(merged.reps)
+    areas = base.areas.tolist()
+    diams = base.diameters.tolist()
+    multi = 0
+    for g in range(merged.size):
+        head = int(heads[g])
+        cells = [head] + [int(c) for c in np.nonzero(group_of == g)[0] if c != head]
+        multi += len(cells) > 1
+        area = sum(areas[c] for c in cells)
+        diam = 0.0
+        for a in cells:
+            diam = max(diam, diams[a])
+            for b in cells:
+                if b <= a:
+                    continue
+                gap = float(np.linalg.norm(base.reps[a] - base.reps[b]))
+                diam = max(diam, diams[a] + gap + diams[b])
+        assert merged.areas[g] == area
+        assert merged.diameters[g] == min(diam, 2.0)
+    assert multi > 0
