@@ -140,11 +140,18 @@ def _csv_header_dim(path) -> int | None:
     return None
 
 
+def _json_object(path: Path) -> dict:
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return doc
+
+
 def read_points(path) -> np.ndarray:
     """Point rows from a CSV (d+1 columns) or JSON {"d":…, "points":…} file."""
     path = Path(path)
     if path.suffix == ".json":
-        doc = json.loads(path.read_text())
+        doc = _json_object(path)
         points = np.asarray(doc["points"], dtype=float)
         if points.ndim != 2:
             raise ValueError(f"{path}: points must be a list of coordinate rows")
@@ -186,7 +193,7 @@ def read_measure(path) -> DiscreteSignedMeasure:
     """Signed atomic measure from CSV rows x_0,…,x_d,weight or JSON."""
     path = Path(path)
     if path.suffix == ".json":
-        doc = json.loads(path.read_text())
+        doc = _json_object(path)
         points = np.asarray(doc["points"], dtype=float)
         weights = np.asarray(doc["weights"], dtype=float)
         return DiscreteSignedMeasure(points, weights, label=str(path))
@@ -215,8 +222,8 @@ def write_measure_csv(path, measure) -> None:
 def read_field(path) -> HarmonicField:
     """Charge list from JSON {"charges": [{"location": […], "strength": w}]}."""
     path = Path(path)
-    doc = json.loads(path.read_text())
-    if not isinstance(doc, dict) or not isinstance(doc.get("charges"), list):
+    doc = _json_object(path)
+    if not isinstance(doc.get("charges"), list):
         raise ValueError(f"{path}: expected a JSON object with a 'charges' list")
     charges = []
     for i, entry in enumerate(doc["charges"]):

@@ -142,6 +142,14 @@ def test_broken_measure_exits_2(inputs, capsys):
         code = main(["verify-identity", "--field", str(bad), "--sigma", sigma])
         assert code == 2
         assert str(bad) in capsys.readouterr().err
+    bad = tmp / "bad_points.json"
+    bad.write_text("[1, 2]")
+    for argv in (
+        ["meshnorm", "--points", str(bad)],
+        ["verify-identity", "--field", field, "--sigma", str(bad)],
+    ):
+        assert main(argv) == 2
+        assert str(bad) in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(inputs, capsys):

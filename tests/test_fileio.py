@@ -89,9 +89,24 @@ def test_points_csv_errors(tmp_path):
 
 def test_points_json_errors(tmp_path):
     path = tmp_path / "pts.json"
-    path.write_text('{"d": 3, "points": [[1.0, 0.0, 0.0]]}')
-    with pytest.raises(ValueError, match="declared d=3"):
-        read_points(path)
+    for text, message in (
+        ('{"d": 3, "points": [[1.0, 0.0, 0.0]]}', "declared d=3"),
+        ("[1, 2]", "JSON object"),
+        ('"points"', "JSON object"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            read_points(path)
+        assert str(path) in str(info.value)
+
+
+def test_measure_json_errors(tmp_path):
+    path = tmp_path / "measure.json"
+    for text in ("[1, 2]", "3.5"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="JSON object") as info:
+            read_measure(path)
+        assert str(path) in str(info.value)
 
 
 def test_measure_round_trip(tmp_path):

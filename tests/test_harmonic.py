@@ -237,10 +237,17 @@ def test_funk_hecke_rejects_non_finite_kernel():
 
 def test_sobolev_params_validation():
     SobolevParams(1.1, 2)
-    with pytest.raises(ValueError):
-        SobolevParams(1.0, 2)
-    with pytest.raises(ValueError):
-        SobolevParams(1.5, 3)
+    for s, dim, error in (
+        (1.0, 2, ValueError),
+        (1.5, 3, ValueError),
+        (math.nan, 2, ValueError),
+        (math.inf, 2, ValueError),
+        (2.0, 2.5, TypeError),
+        (2.0, True, TypeError),
+        (1.0, 1, ValueError),
+    ):
+        with pytest.raises(error):
+            SobolevParams(s, dim)
     sp = SobolevParams(2.0, 2)
     w = sp.weights(4)
     assert w[0] == 1.0
@@ -275,14 +282,133 @@ def test_sobolev_norm_dimension_mismatch():
         sobolev_norm(exp, SobolevParams(2.0, 2))
 
 
+def _mp_series(y, a, m, poly, term, head=64):
+    """sum_{l>=1} term(l) in mpmath, where term(l) = l^-y poly(l+a) (l+a)^-m.
+
+    Terms below ``head`` come from ``term`` itself.  Beyond it,
+    l^-y = (l+a)^-y (1 - a/(l+a))^-y expands in a binomial series of positive
+    terms, each summing to a Hurwitz zeta value at q = head + a.
+    """
+    y, a = mpmath.mpf(y), mpmath.mpf(a)
+    total = mpmath.fsum(term(mpmath.mpf(l)) for l in range(1, head))
+    for j, c in enumerate(poly):
+        k, binom = 0, mpmath.mpf(1)
+        while True:
+            piece = c * binom * a**k * mpmath.zeta(y + m + k - j, head + a)
+            total += piece
+            if abs(piece) < mpmath.mpf(10) ** -30 * abs(total):
+                break
+            binom *= (y + k) / (k + 1)
+            k += 1
+    return total
+
+
+def _mp_area(d):
+    half = mpmath.mpf(d + 1) / 2
+    return 2 * mpmath.pi**half / mpmath.gamma(half)
+
+
+def _oracle_embedding(d, s):
+    with mpmath.workdps(50):
+        s, area, e_d = mpmath.mpf(s), _mp_area(d), mpmath.e**d
+        beta, a = 2 * s + 1 - d, mpmath.mpf(d - 1) / 2
+
+        def star(l):  # a term of the c* series over its prefactor
+            return 4 * l ** (d - 1 - 2 * s) / (2 * l + d - 1) ** 2
+
+        sum1 = e_d * area * (d - 1) ** 2 / 4 * _mp_series(beta, a, 2, [1], star)
+        sum2 = e_d / area * mpmath.zeta(beta)
+        return mpmath.sqrt(sum1 + 1 / area), area * mpmath.sqrt(sum2 + 1 / area**3)
+
+
+def _oracle_lipschitz(d, s):
+    """sqrt(sum_l N_l P_l'(1) / (area m_l^2)) in mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        s, area = mpmath.mpf(s), _mp_area(d)
+        a = mpmath.mpf(d - 1) / 2
+        scale = (d - 1) ** 2 * area / (2 * d)
+        # binom(l+d-1, d-1) = prod_j (v - a + j) / j as a polynomial in v = l + a
+        poly = [mpmath.mpf(1)]
+        for j in range(1, d):
+            shifted = [c * (j - a) / j for c in poly] + [0]
+            poly = [p + q / j for p, q in zip(shifted, [0] + poly)]
+
+        def term(l):
+            m_l = l**s * (2 * l + d - 1) / ((d - 1) * area)
+            deriv = l * (l + d - 1) / d
+            return harmonic_dim(d, int(l)) * deriv / (area * m_l**2) / scale
+
+        return mpmath.sqrt(scale * _mp_series(2 * s - 1, a, 1, poly, term))
+
+
+def _old_power_series_sum(term_of, beta, k_bound):
+    # the series summation the closed forms replaced; converges fast for large beta
+    total, start, block = 0.0, 1, 4096
+    while start <= 2**26:
+        l = np.arange(start, start + block, dtype=float)
+        total += float(np.sum(term_of(l)))
+        start += block
+        if k_bound * start ** (1.0 - beta) / (beta - 1.0) < 1e-12 * total:
+            return total
+        block = min(2 * block, 2**22)
+    raise AssertionError("reference series did not converge")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_embedding_constants_match_mpmath_oracle(d):
+    for s in np.linspace(d / 2 + 1e-3, d / 2 + 2, 5):
+        ec = embedding_constants(SobolevParams(float(s), d))
+        c_star, c_star_star = _oracle_embedding(d, float(s))
+        assert_allclose(ec.c_star, float(c_star), rtol=1e-13)
+        assert_allclose(ec.c_star_star, float(c_star_star), rtol=1e-13)
+        assert ec.tail_star < 1e-12 and ec.tail_star_star < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_lipschitz_constant_matches_mpmath_oracle(d):
+    for s in np.linspace((3 * d - 2) / 4 + 1e-3, d / 2 + 2, 5):
+        c = lipschitz_constant(SobolevParams(float(s), d))
+        assert_allclose(c, float(_oracle_lipschitz(d, float(s))), rtol=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_constants_match_old_series_where_it_converges(d):
+    area, e_d = surface_area(d), math.exp(d)
+    k_bound = e_d * area * (d - 1) ** 2 / 4.0
+    for s in (d / 2 + 1.5, d / 2 + 2):
+        beta = 2 * s + 1 - d
+
+        def star(l):
+            return k_bound * 4 * l ** (d - 1 - 2 * s) / (2 * l + d - 1) ** 2
+
+        def lip(l):
+            binom = np.ones_like(l)
+            for j in range(1, d):
+                binom = binom * (l + j) / j
+            z = (2 * l + d - 1) / (l + d - 1) * binom
+            m_sq = l ** (2 * s) * (2 * l + d - 1) ** 2 / ((d - 1) * area) ** 2
+            return z * (l * (l + d - 1) / d) / (area * m_sq)
+
+        ec = embedding_constants(SobolevParams(s, d))
+        sum1 = _old_power_series_sum(star, beta + 2, k_bound)
+        sum2 = _old_power_series_sum(lambda l: e_d * l**-beta / area, beta, e_d / area)
+        assert_allclose(ec.c_star, math.sqrt(sum1 + 1 / area), rtol=1e-12)
+        c_star_star = area * math.sqrt(sum2 + 1 / area**3)
+        assert_allclose(ec.c_star_star, c_star_star, rtol=1e-12)
+        old_lip = math.sqrt(_old_power_series_sum(lip, beta, k_bound))
+        assert_allclose(lipschitz_constant(SobolevParams(s, d)), old_lip, rtol=1e-12)
+
+
 def test_embedding_constants_large_s_limit():
     # only the l=1 term survives: its degree power is 1^(d-1-2s) = 1
-    ec = embedding_constants(SobolevParams(50.0, 2))
     area = surface_area(2)
     expect_star = math.sqrt(math.e**2 * area / 9.0 + 1.0 / area)
     expect_star_star = area * math.sqrt(math.e**2 / area + 1.0 / area**3)
-    assert_allclose(ec.c_star, expect_star, rtol=1e-10)
-    assert_allclose(ec.c_star_star, expect_star_star, rtol=1e-10)
+    for s in (50.0, 1e15, 1e300):
+        ec = embedding_constants(SobolevParams(s, 2))
+        assert_allclose(ec.c_star, expect_star, rtol=1e-10)
+        assert_allclose(ec.c_star_star, expect_star_star, rtol=1e-10)
+        assert ec.tail_star < 1e-12 and ec.tail_star_star == 0.0
 
 
 def test_embedding_constants_basic_properties():
@@ -325,9 +451,10 @@ def test_lipschitz_constant_and_check():
     # below the first-order threshold (only possible for dim >= 3)
     with pytest.raises(ValueError, match="3\\*dim-2"):
         lipschitz_constant(SobolevParams(1.6, 3))
-    # barely above it: the series decays too slowly to certify
-    with pytest.raises(ValueError, match="too slowly"):
-        lipschitz_constant(SobolevParams(1.05, 2))
+    # barely above it the series decays slowly, yet the closed form answers
+    near = lipschitz_constant(SobolevParams(1.05, 2))
+    assert math.isfinite(near)
+    assert_allclose(near, float(_oracle_lipschitz(2, 1.05)), rtol=1e-13)
 
     rng = np.random.default_rng(6)
     f = random_field(2, 3, 0.3, rng)
@@ -351,3 +478,27 @@ def test_lipschitz_constant_field_ratio_zero():
     pairs = list(zip(random_points(2, 20, 1), random_points(2, 20, 2)))
     rep = lipschitz_check(f, exp, sp, pairs)
     assert rep.max_ratio < 1e-12
+
+
+def test_lipschitz_check_matches_per_pair_loop():
+    rng = np.random.default_rng(17)
+    sp = SobolevParams(2.0, 2)
+    f = random_field(2, 4, 0.3, rng)
+    exp = expand_field(f, 0.7)
+    zetas = random_points(2, 50, rng)
+    etas = random_points(2, 50, rng)
+    etas[7] = zetas[7]  # zero gap: skipped and not counted
+    pairs = list(zip(zetas, etas))
+    worst, count = 0.0, 0
+    for zeta, eta in pairs:
+        gap = float(np.linalg.norm(eta - zeta))
+        if gap == 0.0:
+            continue
+        diff = abs(evaluate_field(f, 0.7 * eta) - evaluate_field(f, 0.7 * zeta))
+        worst, count = max(worst, diff / gap), count + 1
+    rep = lipschitz_check(f, exp, sp, pairs)
+    assert rep.pairs_checked == count == 49
+    assert_allclose(rep.max_ratio, worst, rtol=1e-12)
+    empty = lipschitz_check(f, exp, sp, [])
+    assert empty.pairs_checked == 0 and empty.max_ratio == 0.0
+    assert empty.bound == rep.bound
