@@ -13,7 +13,6 @@ method yields JSON-ready values; nothing here touches the filesystem.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .geom import (
     Scattering,
     _reduce_on_grid,
     _sampled_mesh_norm,
-    _thread_count,
     equal_area_partition,
     match_partition_to_scattering,
     mesh_norm,
@@ -292,7 +290,9 @@ def _rule_error_measure(
     mu: QuadratureMeasure, matched: MatchedPartition
 ) -> DiscreteSignedMeasure:
     weights = partition_weights(mu, matched)
-    nu = DiscreteSignedMeasure(representatives(matched), weights)
+    # a region holding no node of mu adds only zero terms to the probe sums
+    keep = weights != 0
+    nu = DiscreteSignedMeasure(matched.reps[keep], weights[keep])
     return difference_measure(mu, nu)
 
 
@@ -441,14 +441,7 @@ def scaling_study(
         raise ValueError("partition sizes must be strictly ascending")
     if len(n_values) < 2:
         raise ValueError("need at least two partition sizes to fit a rate")
-    workers = min(_thread_count(), len(n_values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda n: _scaling_row(dim, n, cfg, quad), n_values)
-            )
-    else:
-        rows = [_scaling_row(dim, n, cfg, quad) for n in n_values]
+    rows = [_scaling_row(dim, n, cfg, quad) for n in n_values]
     logs_n = np.log([row.n for row in rows])
     logs_sup = np.log([row.measured_sup for row in rows])
     exponent = float(np.polyfit(logs_n, logs_sup, 1)[0])

@@ -147,15 +147,29 @@ def _json_object(path: Path) -> dict:
     return doc
 
 
+def _json_floats(path: Path, doc: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: '{key}' must hold numbers") from None
+
+
+def _json_dim(path: Path, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: 'd' must be an integer, got {value!r}") from None
+
+
 def read_points(path) -> np.ndarray:
     """Point rows from a CSV (d+1 columns) or JSON {"d":…, "points":…} file."""
     path = Path(path)
     if path.suffix == ".json":
         doc = _json_object(path)
-        points = np.asarray(doc["points"], dtype=float)
+        points = _json_floats(path, doc, "points")
         if points.ndim != 2:
             raise ValueError(f"{path}: points must be a list of coordinate rows")
-        d = int(doc.get("d", points.shape[1] - 1))
+        d = _json_dim(path, doc.get("d", points.shape[1] - 1))
         if points.shape[1] != d + 1:
             raise ValueError(
                 f"{path}: declared d={d} but rows have {points.shape[1]} "
@@ -194,8 +208,8 @@ def read_measure(path) -> DiscreteSignedMeasure:
     path = Path(path)
     if path.suffix == ".json":
         doc = _json_object(path)
-        points = np.asarray(doc["points"], dtype=float)
-        weights = np.asarray(doc["weights"], dtype=float)
+        points = _json_floats(path, doc, "points")
+        weights = _json_floats(path, doc, "weights")
         return DiscreteSignedMeasure(points, weights, label=str(path))
     rows = [row for _, row in _csv_rows(path)]
     if not rows:
@@ -239,7 +253,7 @@ def read_field(path) -> HarmonicField:
     dim = doc.get("d")
     if not charges and dim is None:
         raise ValueError(f"{path}: empty charge list requires an explicit 'd'")
-    return make_field(charges, dim=int(dim) if dim is not None else None)
+    return make_field(charges, dim=_json_dim(path, dim) if dim is not None else None)
 
 
 def write_field_json(path, field: HarmonicField) -> None:

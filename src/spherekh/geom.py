@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -102,6 +102,14 @@ def _validated_sphere_points(points, what: str) -> np.ndarray:
     return arr / scale[:, None]
 
 
+def _thread_count() -> int:
+    """Worker count of the KD-tree queries: SPHERE_KH_THREADS, default 1."""
+    try:
+        return max(1, int(os.environ.get("SPHERE_KH_THREADS", "1")))
+    except ValueError:
+        return 1
+
+
 @dataclass
 class Scattering:
     """A finite set of pairwise distinct points on S^dim.
@@ -119,7 +127,7 @@ class Scattering:
         if n == 0:
             raise ValueError("scattering must contain at least one point")
         if n >= 2:
-            dist, idx = cKDTree(self.points).query(self.points, k=2)
+            dist, idx = self.tree.query(self.points, k=2, workers=_thread_count())
             nearest = dist[:, 1]
             i = int(np.argmin(nearest))
             if nearest[i] <= _MIN_SEPARATION:
@@ -127,6 +135,11 @@ class Scattering:
                     f"scattering points {i} and {int(idx[i, 1])} coincide "
                     f"(separation {nearest[i]:.3g})"
                 )
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        """KD-tree over the points, built on first use and kept."""
+        return cKDTree(self.points)
 
     @property
     def dim(self) -> int:
@@ -417,32 +430,22 @@ def match_partition_to_scattering(partition: Partition, scattering: Scattering):
     return MatchedPartition(partition, reps)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SPHERE_KH_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _max_min_distance(samples: np.ndarray, scattering: Scattering) -> float:
+    """max over samples of the distance to the nearest scattering point."""
+    dist, _ = scattering.tree.query(samples, workers=_thread_count())
+    return float(dist.max())
 
 
-def _max_min_distance(samples: np.ndarray, points: np.ndarray) -> float:
-    """max over samples of the distance to the nearest point; all unit rows."""
-    tgt = np.asarray(points, dtype=float)
+def _nearest_points(scattering: Scattering, targets: np.ndarray) -> np.ndarray:
+    """Index of the scattering point nearest each target.
 
-    def block_best(block: np.ndarray) -> float:
-        dots = block @ tgt.T
-        dists = np.sqrt(np.maximum(2.0 - 2.0 * dots.max(axis=1), 0.0))
-        return float(dists.max())
-
-    rows = max(1, int(4_000_000 / max(len(tgt), 1)))
-    blocks = [samples[i : i + rows] for i in range(0, len(samples), rows)]
-    threads = _thread_count()
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return max(pool.map(block_best, blocks))
-    return max(block_best(b) for b in blocks)
+    An exact distance tie goes to the point of largest dot product with the
+    target, the lowest index among equals, as ``argmax`` would pick.
+    """
+    dist, near = scattering.tree.query(targets, k=2, workers=_thread_count())
+    for row in np.flatnonzero(dist[:, 1] == dist[:, 0]).tolist():
+        near[row, 0] = np.argmax(scattering.points @ targets[row])
+    return near[:, 0]
 
 
 @dataclass
@@ -476,7 +479,7 @@ def _sampled_mesh_norm(
         raise ValueError("resolution must be positive")
     grid = equal_area_partition(scattering.dim, res)
     estimate = MeshNormEstimate(
-        _max_min_distance(grid.reps, scattering.points), partition_norm(grid)
+        _max_min_distance(grid.reps, scattering), partition_norm(grid)
     )
     return grid.reps, estimate
 
@@ -582,13 +585,14 @@ def _reduce_on_grid(
     occupied, first = np.unique(idx, return_index=True)
     kept_points = pts[first]
     groups: list[list[int]] = [[int(c)] for c in occupied]
-    for c in np.setdiff1d(np.arange(base.size), occupied):
-        host = idx[int(np.argmax(pts @ base.reps[c]))]
-        groups[int(np.searchsorted(occupied, host))].append(int(c))
+    empty = np.setdiff1d(np.arange(base.size), occupied)
+    hosts = idx[_nearest_points(scattering, base.reps[empty])]
+    for c, g in zip(empty.tolist(), np.searchsorted(occupied, hosts).tolist()):
+        groups[g].append(c)
     merged = MergedPartition(base, groups, kept_points)
     reduced = Scattering(kept_points, label=scattering.label)
     est_red = MeshNormEstimate(
-        _max_min_distance(samples, reduced.points), est_orig.resolution_error
+        _max_min_distance(samples, reduced), est_orig.resolution_error
     )
     pnorm = partition_norm(merged)
     ratio = pnorm / max(est_orig.value, 1e-300)

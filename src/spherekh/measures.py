@@ -198,26 +198,27 @@ def potential_values(measure, targets) -> np.ndarray:
     tg = np.atleast_2d(np.asarray(targets, dtype=float))
     if tg.shape[1] != d + 1:
         raise ValueError(f"targets have {tg.shape[1]} coordinates, expected {d + 1}")
+    # the kernel |x-p|^(1-d) is sq^(-(d-1)/2): odd d needs no square root
+    power = (d - 1) // 2 if d % 2 else d - 1
     out = np.empty(len(tg))
     chunk = max(1, int(4_000_000 / max(len(pts), 1)))
+    scaled = -2.0 * pts.T
     for start in range(0, len(tg), chunk):
         block = tg[start : start + chunk]
-        # atoms are unit vectors: |x-p|^2 = |x|^2 + 1 - 2 x.p
-        sq = (
-            np.sum(block * block, axis=1)[:, None]
-            + 1.0
-            - 2.0 * block @ pts.T
-        )
-        np.maximum(sq, 0.0, out=sq)
-        dist = np.sqrt(sq)
-        nearest = dist.min(axis=1)
-        if np.min(nearest) <= _SINGULARITY_GUARD:
-            i = int(np.argmin(nearest))
-            j = int(np.argmin(dist[i]))
+        # atoms are unit vectors: |x-p|^2 = |x|^2 + 1 - 2 x.p, built in place
+        sq = block @ scaled
+        sq += (np.sum(block * block, axis=1) + 1.0)[:, None]
+        # past the guard every entry is positive, so only a raise needs the
+        # rounding negatives clamped to 0
+        if sq.min() <= _SINGULARITY_GUARD**2:
+            i, j = divmod(int(np.argmin(np.maximum(sq, 0.0))), sq.shape[1])
             raise SingularityError(
                 f"evaluation point {start + i} coincides with atom {j}"
             )
-        out[start : start + chunk] = (dist ** (1 - d)) @ w
+        if d % 2 == 0:
+            np.sqrt(sq, out=sq)
+        sq **= -power  # in place; numpy computes ** -1 as a reciprocal
+        out[start : start + chunk] = sq @ w
     return out
 
 

@@ -152,6 +152,42 @@ def test_broken_measure_exits_2(inputs, capsys):
         assert str(bad) in capsys.readouterr().err
 
 
+_MALFORMED = [
+    # (flag the file is given to, JSON text); the other inputs are valid
+    pytest.param("points", '{"d": [2], "points": [[1, 0, 0]]}', id="points-d-list"),
+    pytest.param("points", '{"d": null, "points": [[1, 0, 0]]}', id="points-d-null"),
+    pytest.param("points", '{"points": {"a": 1}}', id="points-object"),
+    pytest.param(
+        "sigma", '{"points": [[1, 0, 0]], "weights": {"a": 1}}', id="sigma-weights-object"
+    ),
+    pytest.param("sigma", '{"points": {"a": 1}, "weights": [1]}', id="sigma-points-object"),
+    pytest.param(
+        "field",
+        '{"d": [2], "charges": [{"location": [0.1, 0, 0], "strength": 1}]}',
+        id="field-d-list",
+    ),
+    pytest.param(
+        "field", '{"charges": [{"location": {"a": 1}, "strength": 1}]}', id="field-location"
+    ),
+]
+
+
+@pytest.mark.parametrize("flag, text", _MALFORMED)
+def test_malformed_json_exits_2(inputs, capsys, flag, text):
+    tmp, field, sigma = inputs
+    bad = tmp / "malformed.json"
+    bad.write_text(text)
+    argv = {
+        "points": ["meshnorm", "--points", str(bad)],
+        "sigma": ["verify-identity", "--field", field, "--sigma", str(bad)],
+        "field": ["verify-identity", "--field", str(bad), "--sigma", sigma],
+    }[flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exits_2(inputs, capsys):
     _, field, _ = inputs
     code = main(["verify-identity", "--field", field, "--sigma", "nope.csv"])

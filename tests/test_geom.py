@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scipy.spatial import ConvexHull
 from scipy.special import betainc
 
 from spherekh.fileio import json_dumps, partition_payload
@@ -12,6 +13,8 @@ from spherekh.geom import (
     PartitionMatchError,
     Scattering,
     _band_diameter_sq,
+    _max_min_distance,
+    _nearest_points,
     equal_area_partition,
     euclidean_distance,
     match_partition_to_scattering,
@@ -174,6 +177,7 @@ def test_mesh_norm_octahedron_enclosure():
     true = math.sqrt(2.0 - 2.0 / math.sqrt(3.0))
     est = mesh_norm(Scattering(octa), resolution=4096)
     assert est.lower <= true <= est.upper
+    assert_allclose(_exact_mesh_norm(octa), true, rtol=1e-14)
     assert abs(est.value - true) <= est.resolution_error
 
 
@@ -201,6 +205,79 @@ def test_mesh_norm_threads_agree(monkeypatch):
     monkeypatch.setenv("SPHERE_KH_THREADS", "4")
     threaded = mesh_norm(sc, resolution=1024)
     assert plain.value == threaded.value
+
+
+def _reference_max_min_distance(samples, points):
+    """The dot-product block search that the KD-tree query replaced."""
+    best = 0.0
+    rows = max(1, int(4_000_000 / len(points)))
+    for i in range(0, len(samples), rows):
+        dots = samples[i : i + rows] @ points.T
+        dist = np.sqrt(np.maximum(2.0 - 2.0 * dots.max(axis=1), 0.0))
+        best = max(best, float(dist.max()))
+    return best
+
+
+@pytest.mark.parametrize("dim, n", [(2, 1), (2, 3000), (3, 1500), (4, 800)])
+def test_max_min_distance_matches_dot_product_search(dim, n):
+    sc = Scattering(random_points(dim, n, np.random.default_rng(31 + dim)))
+    samples = equal_area_partition(dim, 8 * n).reps
+    # sqrt(2 - 2 dot) loses ~eps/h^2 to cancellation, so the two agree to
+    # rounding, not bit for bit
+    assert_allclose(
+        _max_min_distance(samples, sc),
+        _reference_max_min_distance(samples, sc.points),
+        rtol=1e-12,
+    )
+
+
+def test_reduce_hosts_match_argmax_rule():
+    sc = Scattering(random_points(2, 2000, np.random.default_rng(37)))
+    merged = reduce_scattering(sc).partition
+    base = merged.base
+    idx = base.region_index(sc.points)
+    empty = np.setdiff1d(np.arange(base.size), idx)
+    assert len(empty) > 100
+    # every base representative lies in its own cell, so this is the
+    # cell -> group map
+    group_of = merged.region_index(base.reps)
+    for c in empty.tolist():
+        host = idx[int(np.argmax(sc.points @ base.reps[c]))]
+        assert group_of[c] == group_of[host]
+
+
+def test_nearest_point_exact_tie_goes_to_lowest_index():
+    # four points at exactly equal distance from the north pole, among
+    # enough others that the KD-tree splits them across leaves
+    ring = np.array([[0.6, 0, 0.8], [-0.6, 0, 0.8], [0, 0.6, 0.8], [0, -0.6, 0.8]])
+    rng = np.random.default_rng(41)
+    rest = random_points(2, 3000, rng)
+    pts = np.vstack([ring, rest[rest[:, 2] < 0.5]])
+    pole = np.array([[0.0, 0.0, 1.0]])
+    for _ in range(20):
+        order = rng.permutation(len(pts))
+        got = _nearest_points(Scattering(pts[order]), pole)
+        assert got[0] == np.flatnonzero(order < 4)[0]
+
+
+def _exact_mesh_norm(points):
+    """Covering radius from the convex hull, the spherical Delaunay complex.
+
+    Each facet's outward unit normal is a Voronoi vertex, equidistant from
+    the facet's vertices; the covering radius is the largest such chord.
+    """
+    hull = ConvexHull(points)
+    normals = hull.equations[:, :-1]
+    chords = np.linalg.norm(normals[:, None, :] - points[hull.simplices], axis=2)
+    return float(chords.max())
+
+
+@pytest.mark.parametrize("dim, n", [(2, 20000), (3, 4000), (4, 2000)])
+def test_mesh_norm_encloses_exact_covering_radius(dim, n):
+    sc = Scattering(random_points(dim, n, np.random.default_rng(43 + dim)))
+    exact = _exact_mesh_norm(sc.points)
+    est = mesh_norm(sc)
+    assert est.lower <= exact <= est.upper
 
 
 def test_match_partition_to_scattering():

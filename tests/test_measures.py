@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spherekh.geom import random_points
+from spherekh.discrepancy import (
+    _rule_error_measure,
+    difference_measure,
+    partition_weights,
+)
+from spherekh.geom import (
+    equal_area_partition,
+    match_partition_to_scattering,
+    random_points,
+    representatives,
+    Scattering,
+)
 from spherekh.measures import (
     DiscreteSignedMeasure,
     QuadratureMeasure,
@@ -97,6 +108,70 @@ def test_singularity_guard():
     m = atom(0, 0, 1)
     with pytest.raises(SingularityError, match="atom 0"):
         newtonian_potential(m, [0, 0, 1])
+
+
+def _pairwise_potential(points, weights, targets):
+    """Reference potential: one |x - y|^(1-d) term at a time."""
+    d = points.shape[1] - 1
+    out = []
+    for x in targets:
+        total = 0.0
+        for y, w in zip(points, weights):
+            total += w * math.dist(x, y) ** (1 - d)
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_potential_matches_pairwise_loop(dim):
+    rng = np.random.default_rng(40 + dim)
+    pts = random_points(dim, 30, rng)
+    weights = rng.normal(size=30)
+    # targets inside, on and outside the unit ball, none near an atom
+    targets = random_points(dim, 24, rng) * np.repeat([0.3, 0.95, 1.0, 1.7], 6)[:, None]
+    got = potential_values(DiscreteSignedMeasure(pts, weights), targets)
+    # the weights are signed, so scale the error by the sum of absolute terms
+    want = _pairwise_potential(pts, weights, targets)
+    scale = _pairwise_potential(pts, np.abs(weights), targets)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    positive = potential_values(DiscreteSignedMeasure(pts, np.abs(weights)), targets)
+    assert_allclose(positive, scale, rtol=1e-13)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_singularity_guard_names_target_and_atom(dim):
+    rng = np.random.default_rng(dim)
+    pts = random_points(dim, 9, rng)
+    # an atom at the pole and a target 1e-13 off it: the squared distance
+    # rounds to exactly 0, whatever the summation order
+    pts[6] = np.eye(dim + 1)[dim]
+    m = DiscreteSignedMeasure(pts, rng.normal(size=9))
+    targets = 0.5 * random_points(dim, 7, rng)
+    targets[4] = pts[6]
+    targets[4, 0] = 1e-13
+    with pytest.raises(SingularityError, match="evaluation point 4 coincides with atom 6"):
+        potential_values(m, targets)
+
+
+def test_rule_error_measure_drops_only_zero_weight_atoms():
+    # 4096 regions against 1891 quadrature nodes: most regions get weight 0
+    mu = sphere_surface_quadrature(2, 60)
+    part = equal_area_partition(2, 4096)
+    matched = match_partition_to_scattering(part, Scattering(representatives(part)))
+    weights = partition_weights(mu, matched)
+    unpruned = difference_measure(
+        mu, DiscreteSignedMeasure(representatives(matched), weights)
+    )
+    pruned = _rule_error_measure(mu, matched)
+    assert len(pruned.points) == len(unpruned.points) - int(np.sum(weights == 0))
+    assert np.sum(weights == 0) > 2000
+    probe = sphere_surface_quadrature(2, 20)
+    for r in (0.3, 0.6, 0.9):
+        sups = [
+            np.max(np.abs(potential_values(sigma, r * probe.nodes)))
+            for sigma in (pruned, unpruned)
+        ]
+        assert_allclose(sups[0], sups[1], rtol=1e-12)
 
 
 def test_potential_linearity():
