@@ -2,10 +2,11 @@
 
 Test fields are finite sums of interior point charges.  Restricted to a
 sphere of radius r they expand in zonal series with geometrically decaying
-coefficients, which makes the degree-multiplying operator, Sobolev norms,
-and pointwise-recovery constants all computable with certified truncation
-tails.  No explicit harmonic basis is ever formed: the addition formula
-collapses every order sum into Legendre evaluations at pole products.
+coefficients, which makes Sobolev norms and pointwise-recovery constants
+computable with certified truncation tails; the degree-multiplying operator
+sums its series in closed form, as the Poisson kernel of the ball.  No
+explicit harmonic basis is ever formed: the addition formula collapses every
+order sum into Legendre evaluations at pole products.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import zeta
 
-from .measures import ZonalCoefficients
+from .measures import ZonalCoefficients, _kernel_sum, _zonal_sum
 from .specfun import (
     _check_dim,
     harmonic_dim,
@@ -48,9 +49,6 @@ __all__ = [
     "lipschitz_constant",
     "lipschitz_check",
 ]
-
-_SINGULARITY_GUARD = 1e-12
-
 
 def _omega(k: int) -> float:
     # surface measure of S^k, valid down to the circle (k = 1)
@@ -135,24 +133,7 @@ def random_field(
 
 def field_values(f: HarmonicField, targets) -> np.ndarray:
     """Field values at each target row (vectorized, singularity-guarded)."""
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    if tg.shape[1] != f.dim + 1:
-        raise ValueError(f"targets have {tg.shape[1]} coordinates, expected {f.dim + 1}")
-    if len(f) == 0:
-        return np.zeros(len(tg))
-    out = np.empty(len(tg))
-    chunk = max(1, int(4_000_000 / len(f.locations)))
-    for start in range(0, len(tg), chunk):
-        block = tg[start : start + chunk]
-        diff = block[:, None, :] - f.locations[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        nearest = dist.min(axis=1)
-        if np.min(nearest) <= _SINGULARITY_GUARD:
-            i = int(np.argmin(nearest))
-            j = int(np.argmin(dist[i]))
-            raise ValueError(f"evaluation point {start + i} coincides with charge {j}")
-        out[start : start + chunk] = (dist ** (1 - f.dim)) @ f.strengths
-    return out
+    return _kernel_sum(f.locations, f.strengths, targets, f.dim - 1, "charge")
 
 
 def evaluate_field(f: HarmonicField, x) -> float:
@@ -166,7 +147,8 @@ class FieldExpansion:
     Each charge contributes a pole (its direction) and per-degree weights
     strength * r^(1-d) * (rho/r)^l * (d-1) * area / (2l + d - 1); the field
     value at r*zeta is the double sum of weight * (N_l/area) * P_l(pole.zeta).
-    The recorded tail bound certifies the truncation degree.
+    The recorded tail bound certifies the truncation degree; the charges are
+    kept for the closed form of D.
     """
 
     zonal: list
@@ -174,6 +156,8 @@ class FieldExpansion:
     dim: int
     truncation: int
     tail_bound: float
+    locations: np.ndarray
+    strengths: np.ndarray
 
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
@@ -220,7 +204,7 @@ def expand_field(f: HarmonicField, r: float, tol: float = 1e-12) -> FieldExpansi
         pole = q / rho if rho > 0 else _north_pole(d)
         coeffs = w * base * (rho / r) ** l
         zonal.append(ZonalCoefficients(pole, coeffs))
-    return FieldExpansion(zonal, r, d, degree, tail)
+    return FieldExpansion(zonal, r, d, degree, tail, f.locations, f.strengths)
 
 
 def _north_pole(dim: int) -> np.ndarray:
@@ -229,41 +213,33 @@ def _north_pole(dim: int) -> np.ndarray:
     return pole
 
 
-def _zonal_series(expansion: FieldExpansion, directions, degree_factors) -> np.ndarray:
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    out = np.zeros(len(dirs))
-    for i in range(expansion.charge_count):
-        u = np.clip(dirs @ expansion._poles[i], -1.0, 1.0)
-        table = legendre_table(expansion.dim, expansion.truncation, u)
-        out += (expansion._coeffs[i] * degree_factors) @ table
-    return out
-
-
-def _addition_factors(expansion: FieldExpansion) -> np.ndarray:
-    d = expansion.dim
-    area = surface_area(d)
-    return np.array(
-        [harmonic_dim(d, l) / area for l in range(expansion.truncation + 1)]
-    )
-
-
 def expansion_values(expansion: FieldExpansion, directions) -> np.ndarray:
     """Reconstruct f(r * direction) from the stored coefficients."""
-    return _zonal_series(expansion, directions, _addition_factors(expansion))
+    d = expansion.dim
+    area = surface_area(d)
+    factors = np.array(
+        [harmonic_dim(d, l) / area for l in range(expansion.truncation + 1)]
+    )
+    out = np.zeros(len(np.atleast_2d(directions)))
+    for zc in expansion.zonal:
+        out += _zonal_sum(zc, zc.coeffs * factors, directions)
+    return out
 
 
 def apply_D_values(expansion: FieldExpansion, directions) -> np.ndarray:
     """Values of the degree-multiplying operator on the shell restriction.
 
     Degree l is scaled by (2l + d - 1) / ((d-1) * area), which cancels the
-    kernel coefficient exactly; the result is the plain multipole series
-    with unit degree weights.
+    kernel coefficient exactly; the plain multipole series with unit degree
+    weights that is left is the Poisson kernel of the ball, so no truncation:
+    a charge w at q gives w r^(1-d) (1 - t^2) / (area |zeta - q/r|^(d+1)),
+    t = |q|/r, at a unit direction zeta.
     """
-    d = expansion.dim
-    area = surface_area(d)
-    l = np.arange(expansion.truncation + 1)
-    factors = (2 * l + d - 1) / ((d - 1) * area) * _addition_factors(expansion)
-    return _zonal_series(expansion, directions, factors)
+    d, r = expansion.dim, expansion.r
+    sources = expansion.locations / r
+    t2 = np.einsum("ij,ij->i", sources, sources)
+    weights = expansion.strengths * r ** (1 - d) * (1.0 - t2) / surface_area(d)
+    return _kernel_sum(sources, weights, directions, d + 1, "charge")
 
 
 def apply_D(expansion: FieldExpansion, zeta) -> float:

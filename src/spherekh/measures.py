@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 _SINGULARITY_GUARD = 1e-12
+# |x|^2 + |y|^2 - 2 x.y carries ~1e-16 of absolute rounding, over 1e-12 of
+# any squared distance below this: those are recomputed from x - y
+_RECOMPUTE_BELOW = 1e-4
+# squared-distance entries per block of a kernel sum (1 MB of float64)
+_BLOCK = 1 << 17
 
 
 class SingularityError(ValueError):
@@ -194,31 +199,62 @@ def potential_values(measure, targets) -> np.ndarray:
     Targets may lie anywhere except within 1e-12 of an atom.
     """
     pts, w = _support(measure)
-    d = pts.shape[1] - 1
-    tg = np.atleast_2d(np.asarray(targets, dtype=float))
-    if tg.shape[1] != d + 1:
-        raise ValueError(f"targets have {tg.shape[1]} coordinates, expected {d + 1}")
-    # the kernel |x-p|^(1-d) is sq^(-(d-1)/2): odd d needs no square root
-    power = (d - 1) // 2 if d % 2 else d - 1
-    out = np.empty(len(tg))
-    chunk = max(1, int(4_000_000 / max(len(pts), 1)))
-    scaled = -2.0 * pts.T
-    for start in range(0, len(tg), chunk):
-        block = tg[start : start + chunk]
-        # atoms are unit vectors: |x-p|^2 = |x|^2 + 1 - 2 x.p, built in place
-        sq = block @ scaled
-        sq += (np.sum(block * block, axis=1) + 1.0)[:, None]
-        # past the guard every entry is positive, so only a raise needs the
-        # rounding negatives clamped to 0
-        if sq.min() <= _SINGULARITY_GUARD**2:
-            i, j = divmod(int(np.argmin(np.maximum(sq, 0.0))), sq.shape[1])
-            raise SingularityError(
-                f"evaluation point {start + i} coincides with atom {j}"
-            )
-        if d % 2 == 0:
-            np.sqrt(sq, out=sq)
-        sq **= -power  # in place; numpy computes ** -1 as a reciprocal
-        out[start : start + chunk] = sq @ w
+    return _kernel_sum(pts, w, targets, pts.shape[1] - 2)
+
+
+def _kernel_sum(sources, weights, targets, exponent, name="atom") -> np.ndarray:
+    """sum_j weights[j] * |targets[i] - sources[j]|^(-exponent) for each i.
+
+    Blocks of about _BLOCK squared distances come from one matrix product of
+    augmented coordinates, [x, 1, |x|^2] . [-2y, |y|^2, 1]; the power takes
+    multiplies, at most one sqrt and a reciprocal (exponent >= 1).  A pair
+    within _SINGULARITY_GUARD raises SingularityError naming the target and
+    the source, which the message calls ``name``.
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    n, (m, k) = len(targets), sources.shape
+    if targets.shape[1] != k:
+        raise ValueError(f"targets have {targets.shape[1]} coordinates, expected {k}")
+    left = np.column_stack(
+        [targets, np.ones(n), np.einsum("ij,ij->i", targets, targets)]
+    )
+    right = np.vstack(
+        [-2.0 * sources.T, np.einsum("ij,ij->i", sources, sources), np.ones(m)]
+    )
+    # a block keeps at least 32 targets: one-row blocks run 4x slower
+    cols = max(1, min(m, _BLOCK // 32))
+    rows = _BLOCK // cols
+    half, odd = divmod(exponent, 2)
+    sq_buf = np.empty(min(rows, n) * cols)
+    kern_buf = np.empty_like(sq_buf) if odd or half > 1 else sq_buf
+    out = np.zeros(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        for first in range(0, m, cols):
+            last = min(first + cols, m)
+            shape = (stop - start, last - first)
+            sq = sq_buf[: shape[0] * shape[1]].reshape(shape)
+            np.matmul(left[start:stop], right[:, first:last], out=sq)
+            if sq.min() < _RECOMPUTE_BELOW:
+                i, j = np.nonzero(sq < _RECOMPUTE_BELOW)
+                diff = targets[start + i] - sources[first + j]
+                sq[i, j] = np.einsum("ij,ij->i", diff, diff)
+                if sq.min() <= _SINGULARITY_GUARD**2:
+                    i, j = divmod(int(np.argmin(sq)), shape[1])
+                    raise SingularityError(
+                        f"evaluation point {start + i} coincides with {name} {first + j}"
+                    )
+            kern = kern_buf[: sq.size].reshape(shape)
+            if odd:
+                np.sqrt(sq, out=kern)
+                for _ in range(half):
+                    kern *= sq
+            elif half > 1:
+                np.multiply(sq, sq, out=kern)
+                for _ in range(half - 2):
+                    kern *= sq
+            np.reciprocal(kern, out=kern)
+            out[start:stop] += kern @ weights[first:last]
     return out
 
 

@@ -89,6 +89,32 @@ def test_field_singularity_error():
     f = make_field([(0.2 * e(0), 1.0)])
     with pytest.raises(ValueError, match="charge 0"):
         evaluate_field(f, 0.2 * e(0))
+    # a target 1e-13 off the third of four charges, among far targets
+    g = make_field([(0.2 * e(0), 1.0), (0.3 * e(1), -2.0), (0.4 * e(2), 0.5),
+                    (-0.1 * e(1), 1.5)])
+    targets = random_points(2, 6, 8)
+    targets[3] = 0.4 * e(2) + 1e-13 * e(0)
+    with pytest.raises(ValueError, match="evaluation point 3 coincides with charge 2"):
+        field_values(g, targets)
+
+
+def _pairwise_field(f, targets):
+    """Reference field: one |x - q|^(1-d) term at a time."""
+    return np.array([
+        sum(w * math.dist(x, q) ** (1 - f.dim) for q, w in zip(f.locations, f.strengths))
+        for x in targets
+    ])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_field_values_match_pairwise_loop(d):
+    rng = np.random.default_rng(50 + d)
+    f = random_field(d, 7, 0.5, rng)
+    f = make_field(zip(f.locations, np.abs(f.strengths) + 0.1))
+    # targets inside the ball clear of the charges, on it and outside it
+    radii = np.repeat([0.7, 1.0, 1.5, 3.0], 10)
+    targets = random_points(d, 40, rng) * radii[:, None]
+    assert_allclose(field_values(f, targets), _pairwise_field(f, targets), rtol=1e-13)
 
 
 def test_random_field_respects_margin():
@@ -197,17 +223,49 @@ def test_apply_D_against_high_precision_series():
 def test_apply_D_factor_law_is_exact():
     # the degree-l weight of D equals (2l+d-1)/((d-1)*area) times the
     # field's weight; rebuild the series by hand from the stored coefficients
+    # of a converged expansion (D itself is a closed form, not truncated)
     f = make_field([(0.25 * e(0), -1.3)])
     exp = expand_field(f, 0.7)
+    converged = expand_field(f, 0.7, tol=1e-18)
+    assert converged.tail_bound < 1e-16
     dirs = random_points(2, 30, 5)
-    u = np.clip(dirs @ exp.zonal[0].pole, -1, 1)
-    table = legendre_table(2, exp.truncation, u)
+    u = np.clip(dirs @ converged.zonal[0].pole, -1, 1)
+    table = legendre_table(2, converged.truncation, u)
     area = surface_area(2)
     manual = np.zeros(len(dirs))
-    for l in range(exp.truncation + 1):
-        w = exp.zonal[0].coeffs[l] * (2 * l + 1) / ((2 - 1) * area)
+    for l in range(converged.truncation + 1):
+        w = converged.zonal[0].coeffs[l] * (2 * l + 1) / ((2 - 1) * area)
         manual += w * harmonic_dim(2, l) / area * table[l]
     assert_allclose(apply_D_values(exp, dirs), manual, rtol=1e-12, atol=1e-15)
+
+
+def _D_series(exp, dirs):
+    """D from its unit-weight multipole series, summed to exp.truncation."""
+    d = exp.dim
+    area = surface_area(d)
+    l = np.arange(exp.truncation + 1)
+    weights = np.array([harmonic_dim(d, k) for k in l]) / area
+    weights *= (2 * l + d - 1) / ((d - 1) * area)
+    out = np.zeros(len(dirs))
+    for zc in exp.zonal:
+        table = legendre_table(d, exp.truncation, np.clip(dirs @ zc.pole, -1, 1))
+        out += (zc.coeffs * weights) @ table
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_apply_D_closed_form_matches_converged_series(d):
+    rng = np.random.default_rng(70 + d)
+    f = random_field(d, 4, 0.5, rng)
+    # positive strengths keep D f away from 0, and one charge sits at the origin
+    charges = [*zip(f.locations, np.abs(f.strengths) + 0.1), (np.zeros(d + 1), 0.7)]
+    f = make_field(charges)
+    converged = expand_field(f, 0.8, tol=1e-18)
+    assert converged.tail_bound < 1e-16
+    dirs = random_points(d, 40, rng)
+    want = _D_series(converged, dirs)
+    assert_allclose(apply_D_values(expand_field(f, 0.8), dirs), want, rtol=1e-12)
+    assert_allclose(apply_D_values(converged, dirs), want, rtol=1e-12)
 
 
 def test_funk_hecke_constants():

@@ -153,6 +153,48 @@ def test_singularity_guard_names_target_and_atom(dim):
         potential_values(m, targets)
 
 
+def test_singularity_guard_tests_the_true_distance():
+    # 200 targets each 1e-13 from its own atom: the expanded squared distance
+    # |x|^2 + 1 - 2 x.p rounds to ~1e-16, far above the guard's 1e-24
+    rng = np.random.default_rng(31)
+    pts = random_points(2, 200, rng)
+    m = DiscreteSignedMeasure(pts, rng.normal(size=200))
+    offsets = random_points(2, 200, rng)
+    targets = 0.5 * random_points(2, 5, rng)
+    for k in range(200):
+        probe = targets.copy()
+        probe[k % 5] = pts[k] + 1e-13 * offsets[k]
+        with pytest.raises(
+            SingularityError, match=f"evaluation point {k % 5} coincides with atom {k}$"
+        ):
+            potential_values(m, probe)
+
+
+def test_potential_near_atoms_matches_pairwise_loop():
+    # 1e-6 from an atom the nearest term dominates; the expanded squared
+    # distance alone would be off by ~1e-4 relative there
+    rng = np.random.default_rng(32)
+    pts = random_points(2, 200, rng)
+    weights = rng.uniform(0.5, 1.5, 200)
+    targets = pts[:50] + 1e-6 * random_points(2, 50, rng)
+    got = potential_values(DiscreteSignedMeasure(pts, weights), targets)
+    assert_allclose(got, _pairwise_potential(pts, weights, targets), rtol=1e-12)
+
+
+def test_wide_measure_sums_in_source_tiles():
+    # 9000 atoms span several source tiles of one block
+    rng = np.random.default_rng(33)
+    pts = random_points(3, 9000, rng)
+    weights = rng.uniform(0.5, 1.5, 9000)
+    targets = random_points(3, 40, rng) * np.repeat([0.5, 1.0, 1.5, 3.0], 10)[:, None]
+    want = [weights @ np.linalg.norm(x - pts, axis=1) ** -2.0 for x in targets]
+    got = potential_values(DiscreteSignedMeasure(pts, weights), targets)
+    assert_allclose(got, want, rtol=1e-13)
+    targets[17] = pts[8000]
+    with pytest.raises(SingularityError, match="point 17 coincides with atom 8000$"):
+        potential_values(DiscreteSignedMeasure(pts, weights), targets)
+
+
 def test_rule_error_measure_drops_only_zero_weight_atoms():
     # 4096 regions against 1891 quadrature nodes: most regions get weight 0
     mu = sphere_surface_quadrature(2, 60)
