@@ -11,8 +11,6 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
 from .discrepancy import (
     AdmissibleWindowError,
@@ -32,7 +30,7 @@ from .geom import (
     mesh_norm,
     representatives,
 )
-from .measures import DiscreteSignedMeasure, ShellConfig, sphere_surface_quadrature
+from .measures import ShellConfig, sphere_surface_quadrature
 
 COMMANDS = (
     "verify-identity",

@@ -155,10 +155,11 @@ def _json_floats(path: Path, doc: dict, key: str) -> np.ndarray:
 
 
 def _json_dim(path: Path, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: 'd' must be an integer, got {value!r}") from None
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path}: 'd' must be an integer, got {value!r}")
+    return value
 
 
 def read_points(path) -> np.ndarray:
@@ -249,6 +250,16 @@ def read_field(path) -> HarmonicField:
                 f"{path}: charge {i} needs a numeric 'location' list and a "
                 f"'strength'"
             )
+        if location.ndim != 1 or len(location) < 3:
+            raise ValueError(
+                f"{path}: charge {i} 'location' must be a flat list of at least "
+                f"3 coordinates"
+            )
+        if charges and len(location) != len(charges[0][0]):
+            raise ValueError(
+                f"{path}: charge {i} has {len(location)} coordinates, charge 0 "
+                f"has {len(charges[0][0])}"
+            )
         charges.append((location, strength))
     dim = doc.get("d")
     if not charges and dim is None:
@@ -295,7 +306,7 @@ def write_profile_csv(path, values) -> None:
 
 def write_expansion_csv(path, expansion: FieldExpansion) -> None:
     lines = ["charge_index,l,coefficient"]
-    for k, zonal in enumerate(expansion.zonal):
-        for l, c in enumerate(zonal.coeffs):
+    for k, coeffs in enumerate(expansion.coeffs):
+        for l, c in enumerate(coeffs):
             lines.append(f"{k},{l},{format_float(c)}")
     Path(path).write_text("\n".join(lines) + "\n")

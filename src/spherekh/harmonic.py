@@ -18,12 +18,11 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import zeta
 
-from .measures import ZonalCoefficients, _kernel_sum, _zonal_sum
+from .measures import _kernel_sum, _zonal_sum
 from .specfun import (
     _check_dim,
-    harmonic_dim,
+    _degree_weights,
     latitude_quadrature,
-    legendre_derivative_at_one,
     legendre_table,
     surface_area,
     truncation_degree,
@@ -49,11 +48,6 @@ __all__ = [
     "lipschitz_constant",
     "lipschitz_check",
 ]
-
-def _omega(k: int) -> float:
-    # surface measure of S^k, valid down to the circle (k = 1)
-    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
-
 
 @dataclass
 class HarmonicField:
@@ -144,14 +138,16 @@ def evaluate_field(f: HarmonicField, x) -> float:
 class FieldExpansion:
     """Zonal expansion of a field's restriction to the sphere of radius r.
 
-    Each charge contributes a pole (its direction) and per-degree weights
+    Charge k contributes the pole ``poles[k]`` (its direction, the north pole
+    for a charge at the origin) and the per-degree weights ``coeffs[k]``,
     strength * r^(1-d) * (rho/r)^l * (d-1) * area / (2l + d - 1); the field
-    value at r*zeta is the double sum of weight * (N_l/area) * P_l(pole.zeta).
+    value at r*zeta is the double sum of coeffs * (N_l/area) * P_l(pole.zeta).
     The recorded tail bound certifies the truncation degree; the charges are
     kept for the closed form of D.
     """
 
-    zonal: list
+    poles: np.ndarray
+    coeffs: np.ndarray
     r: float
     dim: int
     truncation: int
@@ -162,20 +158,10 @@ class FieldExpansion:
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
             raise ValueError("expansion radius must lie in (0, 1)")
-        self._poles = (
-            np.array([zc.pole for zc in self.zonal])
-            if self.zonal
-            else np.zeros((0, self.dim + 1))
-        )
-        self._coeffs = (
-            np.array([zc.coeffs for zc in self.zonal])
-            if self.zonal
-            else np.zeros((0, self.truncation + 1))
-        )
 
     @property
     def charge_count(self) -> int:
-        return len(self.zonal)
+        return len(self.poles)
 
 
 def expand_field(f: HarmonicField, r: float, tol: float = 1e-12) -> FieldExpansion:
@@ -198,32 +184,17 @@ def expand_field(f: HarmonicField, r: float, tol: float = 1e-12) -> FieldExpansi
     degree, tail = truncation_degree(d, ratio, tol=tol, prefactor=prefactor)
     l = np.arange(degree + 1)
     base = (d - 1) * area / (2 * l + d - 1) * r ** (1 - d)
-    zonal = []
-    for q, w in zip(f.locations, f.strengths):
-        rho = float(np.linalg.norm(q))
-        pole = q / rho if rho > 0 else _north_pole(d)
-        coeffs = w * base * (rho / r) ** l
-        zonal.append(ZonalCoefficients(pole, coeffs))
-    return FieldExpansion(zonal, r, d, degree, tail, f.locations, f.strengths)
-
-
-def _north_pole(dim: int) -> np.ndarray:
-    pole = np.zeros(dim + 1)
-    pole[dim] = 1.0
-    return pole
+    rho = np.linalg.norm(f.locations, axis=1)
+    poles = f.locations / np.where(rho > 0, rho, 1.0)[:, None]
+    poles[rho == 0, d] = 1.0
+    coeffs = f.strengths[:, None] * base * (rho[:, None] / r) ** l
+    return FieldExpansion(poles, coeffs, r, d, degree, tail, f.locations, f.strengths)
 
 
 def expansion_values(expansion: FieldExpansion, directions) -> np.ndarray:
     """Reconstruct f(r * direction) from the stored coefficients."""
-    d = expansion.dim
-    area = surface_area(d)
-    factors = np.array(
-        [harmonic_dim(d, l) / area for l in range(expansion.truncation + 1)]
-    )
-    out = np.zeros(len(np.atleast_2d(directions)))
-    for zc in expansion.zonal:
-        out += _zonal_sum(zc, zc.coeffs * factors, directions)
-    return out
+    weights = _degree_weights(expansion.dim, expansion.truncation)
+    return _zonal_sum(expansion.poles, expansion.coeffs * weights, directions)
 
 
 def apply_D_values(expansion: FieldExpansion, directions) -> np.ndarray:
@@ -260,7 +231,9 @@ def funk_hecke(kernel, degree: int, dim: int, nodes: int | None = None) -> float
     if not np.all(np.isfinite(vals)):
         raise ValueError("kernel produced non-finite values at quadrature nodes")
     table = legendre_table(dim, degree, t)
-    return float(_omega(dim - 1) / _omega(dim) * np.sum(w * vals * table[degree]))
+    # area(S^(d-1)) / area(S^d)
+    ratio = math.gamma((dim + 1) / 2.0) / (math.sqrt(math.pi) * math.gamma(dim / 2.0))
+    return float(ratio * np.sum(w * vals * table[degree]))
 
 
 @dataclass(frozen=True)
@@ -295,20 +268,12 @@ def sobolev_norm(expansion: FieldExpansion, sp: SobolevParams) -> float:
     """
     if sp.dim != expansion.dim:
         raise ValueError("dimension mismatch between expansion and parameters")
-    m = expansion.charge_count
-    if m == 0:
-        return 0.0
-    d = expansion.dim
-    area = surface_area(d)
-    L = expansion.truncation
-    dots = np.clip(expansion._poles @ expansion._poles.T, -1.0, 1.0)
-    table = legendre_table(d, L, dots.ravel()).reshape(L + 1, m, m)
-    weights = sp.weights(L)
-    total = 0.0
-    for l in range(L + 1):
-        a = expansion._coeffs[:, l]
-        z = harmonic_dim(d, l) / area
-        total += weights[l] ** 2 * z * float(a @ table[l] @ a)
+    d, L, poles = expansion.dim, expansion.truncation, expansion.poles
+    table = legendre_table(d, L, poles @ poles.T)
+    # degree l contributes a_l . (table[l] @ a_l), a_l the l-th coefficient column
+    cols = expansion.coeffs.T
+    forms = np.sum(cols * np.einsum("lkj,lj->lk", table, cols), axis=1)
+    total = float(forms @ (sp.weights(L) ** 2 * _degree_weights(d, L)))
     return math.sqrt(max(total, 0.0))
 
 

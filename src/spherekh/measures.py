@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import _validated_sphere_points
-from .specfun import (
-    harmonic_dim,
-    kernel_coefficient,
-    latitude_quadrature,
-    legendre_table,
-    surface_area,
-)
+from .specfun import _degree_weights, latitude_quadrature, legendre_table, surface_area
 
 __all__ = [
     "ShellConfig",
@@ -348,24 +342,32 @@ def balayage_transform(zc: ZonalCoefficients, cfg: ShellConfig) -> ZonalCoeffici
     return ZonalCoefficients(zc.pole.copy(), zc.coeffs * cfg.r ** (l + d - 1))
 
 
-def _zonal_sum(zc: ZonalCoefficients, factors: np.ndarray, directions) -> np.ndarray:
+def _zonal_sum(poles, factors, directions) -> np.ndarray:
+    """sum_k sum_l factors[k, l] * P_l(poles[k] . direction) at each direction.
+
+    ``poles`` is (m, d+1) or one pole, ``factors`` (m, L+1) or one row; one
+    Legendre table over all m * n pole-direction products, (L+1) m n values,
+    and one contraction.
+    """
+    poles, factors = np.atleast_2d(poles), np.atleast_2d(factors)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    u = np.clip(dirs @ zc.pole, -1.0, 1.0)
-    table = legendre_table(zc.dim, zc.max_degree, u)
-    return factors @ table
+    dim, max_degree = poles.shape[1] - 1, factors.shape[1] - 1
+    table = legendre_table(dim, max_degree, poles @ dirs.T)
+    return factors.T.ravel() @ table.reshape(-1, len(dirs))
 
 
 def zonal_potential_profile(zc: ZonalCoefficients, radius: float, directions) -> np.ndarray:
-    """Potential of the unit-sphere measure at radius * direction, radius < 1."""
-    d = zc.dim
-    area = surface_area(d)
-    factors = np.array(
-        [
-            zc.coeffs[l] * kernel_coefficient(d, l, radius) * harmonic_dim(d, l) / area
-            for l in range(len(zc.coeffs))
-        ]
-    )
-    return _zonal_sum(zc, factors, directions)
+    """Potential of the unit-sphere measure at radius * direction, radius < 1.
+
+    Degree l carries the kernel coefficient (d-1) * area * r^l / (2l + d - 1).
+    """
+    radius = float(radius)
+    if not 0.0 < radius < 1.0:
+        raise ValueError(f"radius must lie strictly inside (0, 1), got {radius}")
+    d, l = zc.dim, np.arange(len(zc.coeffs))
+    kernel = (d - 1) * surface_area(d) * radius**l / (2 * l + d - 1)
+    factors = zc.coeffs * kernel * _degree_weights(d, zc.max_degree)
+    return _zonal_sum(zc.pole, factors, directions)
 
 
 def shell_zonal_potential_profile(
@@ -377,15 +379,7 @@ def shell_zonal_potential_profile(
     (d-1) * area / ((2l + d - 1) * r^(d-1)); convergence requires the
     coefficients to decay, which swept measures do geometrically.
     """
-    d = zc.dim
-    area = surface_area(d)
-    l = np.arange(len(zc.coeffs))
-    factors = (
-        zc.coeffs
-        * (d - 1)
-        * area
-        / ((2 * l + d - 1) * cfg.r ** (d - 1))
-        * np.array([harmonic_dim(d, k) for k in range(len(zc.coeffs))])
-        / area
-    )
-    return _zonal_sum(zc, factors, directions)
+    d, l = zc.dim, np.arange(len(zc.coeffs))
+    kernel = (d - 1) * surface_area(d) / ((2 * l + d - 1) * cfg.r ** (d - 1))
+    factors = zc.coeffs * kernel * _degree_weights(d, zc.max_degree)
+    return _zonal_sum(zc.pole, factors, directions)

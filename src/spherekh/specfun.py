@@ -76,6 +76,12 @@ def harmonic_dim(dim: int, degree: int) -> int:
     return math.comb(degree + dim - 1, degree) + math.comb(degree + dim - 2, degree - 1)
 
 
+def _degree_weights(dim: int, max_degree: int) -> np.ndarray:
+    """Addition-formula weights N_l / area(S^dim) for l = 0..max_degree."""
+    counts = [harmonic_dim(dim, l) for l in range(max_degree + 1)]
+    return np.array(counts, dtype=float) / surface_area(dim)
+
+
 def _gegenbauer_rows(dim: int, max_degree: int, t: np.ndarray) -> np.ndarray:
     """Rows 0..max_degree of the Gegenbauer recurrence at index (dim-1)/2."""
     out = np.empty((max_degree + 1,) + t.shape, dtype=float)
@@ -153,20 +159,15 @@ def kernel_coefficient(dim: int, degree: int, radius: float) -> float:
 
 
 def truncation_degree(
-    dim: int,
-    ratio: float,
-    tol: float = 1e-12,
-    prefactor: float = 1.0,
-    operator_weight: bool = False,
+    dim: int, ratio: float, tol: float = 1e-12, prefactor: float = 1.0
 ) -> tuple[int, float]:
     """Smallest degree whose geometric tail bound drops below ``tol``.
 
     Bounds the tail of series whose degree-l term is at most
-    ``prefactor * binom(l+dim-2, l) * ratio**l`` (the plain kernel series) or,
-    with ``operator_weight``, the same times ``(2l+dim-1)`` (series hit by the
-    degree-multiplying operator).  Term ratios decrease monotonically, so as
-    soon as the step ratio q falls below 1 the tail is dominated by
-    ``term / (1 - q)``.  Returns ``(degree, tail_bound)``.
+    ``prefactor * binom(l+dim-2, l) * ratio**l`` (the plain kernel series).
+    Term ratios decrease monotonically, so as soon as the step ratio q falls
+    below 1 the tail is dominated by ``term / (1 - q)``.  Returns
+    ``(degree, tail_bound)``.
     """
     dim = _check_dim(dim)
     ratio = float(ratio)
@@ -179,10 +180,7 @@ def truncation_degree(
         return 0, 0.0
 
     def term(l: int) -> float:
-        value = prefactor * math.comb(l + dim - 2, l) * ratio**l
-        if operator_weight:
-            value *= 2 * l + dim - 1
-        return value
+        return prefactor * math.comb(l + dim - 2, l) * ratio**l
 
     for degree in range(100_000):
         nxt = term(degree + 1)

@@ -169,6 +169,19 @@ _MALFORMED = [
     pytest.param(
         "field", '{"charges": [{"location": {"a": 1}, "strength": 1}]}', id="field-location"
     ),
+    pytest.param(
+        "field", '{"charges": [{"location": 0.1, "strength": 1}]}', id="field-location-scalar"
+    ),
+    pytest.param(
+        "field", '{"charges": [{"location": [], "strength": 1}]}', id="field-location-empty"
+    ),
+    pytest.param(
+        "field",
+        '{"charges": [{"location": [0.1, 0, 0], "strength": 1}, '
+        '{"location": [0.1, 0], "strength": 1}]}',
+        id="field-location-mixed",
+    ),
+    pytest.param("field", '{"d": 2.7, "charges": []}', id="field-d-fraction"),
 ]
 
 

@@ -174,11 +174,31 @@ def test_field_errors(tmp_path):
     path.write_text('{"charges": [{"location": [0, 0, 0]}]}')
     with pytest.raises(ValueError, match="charge 0"):
         read_field(path)
+    for text, message in (
+        ('{"charges": [{"location": 0.1, "strength": 1}]}', "charge 0 'location'"),
+        ('{"charges": [{"location": [], "strength": 1}]}', "charge 0 'location'"),
+        ('{"charges": [{"location": [0.1, 0], "strength": 1}]}', "charge 0 'location'"),
+        ('{"charges": [{"location": [[0.1, 0, 0]], "strength": 1}]}', "charge 0 'location'"),
+        (
+            '{"charges": [{"location": [0.1, 0, 0], "strength": 1}, '
+            '{"location": [0.1, 0, 0, 0], "strength": 1}]}',
+            "charge 1 has 4 coordinates, charge 0 has 3",
+        ),
+        ('{"d": 2.7, "charges": []}', "'d' must be an integer"),
+        ('{"d": true, "charges": []}', "'d' must be an integer"),
+        ('{"d": "2", "charges": []}', "'d' must be an integer"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            read_field(path)
+        assert str(path) in str(info.value)
     path.write_text('{"charges": []}')
     with pytest.raises(ValueError, match="explicit 'd'"):
         read_field(path)
     path.write_text('{"charges": [], "d": 2}')
     assert len(read_field(path)) == 0
+    path.write_text('{"charges": [], "d": 3.0}')
+    assert read_field(path).dim == 3
 
 
 def test_partition_export(tmp_path):
@@ -208,7 +228,7 @@ def test_profile_and_expansion_csv(tmp_path):
     assert len(rows) == 2 + exp.truncation
     first = rows[1].split(",")
     assert first[0] == "0" and first[1] == "0"
-    assert float(first[2]) == exp.zonal[0].coeffs[0]
+    assert float(first[2]) == exp.coeffs[0][0]
 
 
 def test_file_digest_stable(tmp_path):

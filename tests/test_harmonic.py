@@ -128,7 +128,7 @@ def test_random_field_respects_margin():
 def test_expand_origin_charge_constant_restriction():
     f = make_field([(np.zeros(3), 2.0)])
     exp = expand_field(f, 0.5)
-    coeffs = exp.zonal[0].coeffs
+    coeffs = exp.coeffs[0]
     assert_allclose(coeffs[0], 2.0 * 0.5 ** (1 - 2) * surface_area(2), rtol=1e-14)
     assert np.all(coeffs[1:] == 0.0)
     dirs = random_points(2, 20, 0)
@@ -159,7 +159,7 @@ def test_expand_field_multi_charge_multi_dim():
 def test_expansion_coefficient_ratio_law():
     f = make_field([(0.2 * e(0), 1.5)])
     exp = expand_field(f, 0.5)
-    c = exp.zonal[0].coeffs
+    c = exp.coeffs[0]
     rho_over_r = 0.2 / 0.5
     for l in range(0, 12):
         assert_allclose(
@@ -184,11 +184,76 @@ def test_expansion_converges_geometrically():
     direct = evaluate_field(f, r * pole)
     table = legendre_table(2, exp.truncation, np.array([1.0]))[:, 0]
     z = np.array([harmonic_dim(2, l) for l in range(exp.truncation + 1)])
-    terms = exp.zonal[0].coeffs * z / surface_area(2) * table
+    terms = exp.coeffs[0] * z / surface_area(2) * table
     partial = np.cumsum(terms)
     errs = np.abs(direct - partial)
     ratios = errs[8:16] / errs[7:15]
     assert np.all(np.abs(ratios - rho / r) < 0.1 * rho / r)
+
+
+def _per_charge_expansion(f, r, truncation):
+    """(pole, coeffs) per charge, built one charge at a time."""
+    d = f.dim
+    area = surface_area(d)
+    l = np.arange(truncation + 1)
+    base = (d - 1) * area / (2 * l + d - 1) * r ** (1 - d)
+    out = []
+    for q, w in zip(f.locations, f.strengths):
+        rho = float(np.linalg.norm(q))
+        pole = q / rho if rho > 0 else e(d, d)
+        out.append((pole, w * base * (rho / r) ** l))
+    return out
+
+
+def _field_with_origin_charge(d, seed):
+    rng = np.random.default_rng(seed)
+    f = random_field(d, 5, 0.5, rng)
+    return make_field([*zip(f.locations, f.strengths), (np.zeros(d + 1), 0.6)]), rng
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_expansion_arrays_match_per_charge_loop(d):
+    f, rng = _field_with_origin_charge(d, 80 + d)
+    exp = expand_field(f, 0.7)
+    assert exp.poles.shape == (6, d + 1)
+    assert exp.coeffs.shape == (6, exp.truncation + 1)
+    assert exp.charge_count == 6
+    assert np.array_equal(exp.poles[5], e(d, d))
+    reference = _per_charge_expansion(f, 0.7, exp.truncation)
+    for pole, coeffs, (want_pole, want_coeffs) in zip(exp.poles, exp.coeffs, reference):
+        assert_allclose(pole, want_pole, rtol=1e-12, atol=1e-15)
+        assert_allclose(coeffs, want_coeffs, rtol=1e-12)
+    # expansion_values: one per-charge, per-degree accumulation
+    dirs = random_points(d, 60, rng)
+    area = surface_area(d)
+    want = np.zeros(len(dirs))
+    for pole, coeffs in reference:
+        table = legendre_table(d, exp.truncation, np.clip(dirs @ pole, -1, 1))
+        for l in range(exp.truncation + 1):
+            want += coeffs[l] * harmonic_dim(d, l) / area * table[l]
+    assert_allclose(expansion_values(exp, dirs), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_sobolev_norm_matches_per_degree_loop(d):
+    f, _ = _field_with_origin_charge(d, 90 + d)
+    exp = expand_field(f, 0.7)
+    reference = _per_charge_expansion(f, 0.7, exp.truncation)
+    poles = np.array([pole for pole, _ in reference])
+    coeffs = np.array([c for _, c in reference])
+    L, area = exp.truncation, surface_area(d)
+    table = legendre_table(d, L, np.clip(poles @ poles.T, -1, 1))
+    for s in (d / 2 + 0.3, d + 1.5):
+        sp = SobolevParams(s, d)
+        weights = sp.weights(L)
+        total = 0.0
+        for l in range(L + 1):
+            a = coeffs[:, l]
+            total += weights[l] ** 2 * harmonic_dim(d, l) / area * float(a @ table[l] @ a)
+        assert_allclose(sobolev_norm(exp, sp), math.sqrt(total), rtol=1e-12)
+    empty = expand_field(make_field([], dim=d), 0.7)
+    assert empty.poles.shape == (0, d + 1) and empty.charge_count == 0
+    assert sobolev_norm(empty, SobolevParams(d + 1.0, d)) == 0.0
 
 
 def test_apply_D_origin_charge():
@@ -229,12 +294,12 @@ def test_apply_D_factor_law_is_exact():
     converged = expand_field(f, 0.7, tol=1e-18)
     assert converged.tail_bound < 1e-16
     dirs = random_points(2, 30, 5)
-    u = np.clip(dirs @ converged.zonal[0].pole, -1, 1)
+    u = np.clip(dirs @ converged.poles[0], -1, 1)
     table = legendre_table(2, converged.truncation, u)
     area = surface_area(2)
     manual = np.zeros(len(dirs))
     for l in range(converged.truncation + 1):
-        w = converged.zonal[0].coeffs[l] * (2 * l + 1) / ((2 - 1) * area)
+        w = converged.coeffs[0][l] * (2 * l + 1) / ((2 - 1) * area)
         manual += w * harmonic_dim(2, l) / area * table[l]
     assert_allclose(apply_D_values(exp, dirs), manual, rtol=1e-12, atol=1e-15)
 
@@ -247,9 +312,9 @@ def _D_series(exp, dirs):
     weights = np.array([harmonic_dim(d, k) for k in l]) / area
     weights *= (2 * l + d - 1) / ((d - 1) * area)
     out = np.zeros(len(dirs))
-    for zc in exp.zonal:
-        table = legendre_table(d, exp.truncation, np.clip(dirs @ zc.pole, -1, 1))
-        out += (zc.coeffs * weights) @ table
+    for pole, coeffs in zip(exp.poles, exp.coeffs):
+        table = legendre_table(d, exp.truncation, np.clip(dirs @ pole, -1, 1))
+        out += (coeffs * weights) @ table
     return out
 
 

@@ -33,7 +33,14 @@ from spherekh.measures import (
     zonal_coefficients_of_atom,
     zonal_potential_profile,
 )
-from spherekh.specfun import legendre, surface_area, truncation_degree
+from spherekh.specfun import (
+    harmonic_dim,
+    kernel_coefficient,
+    legendre,
+    legendre_table,
+    surface_area,
+    truncation_degree,
+)
 
 
 def atom(*coords, weight=1.0):
@@ -342,6 +349,39 @@ def test_zonal_potential_matches_direct_kernel():
         assert np.max(np.abs(prof - direct)) < 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_zonal_profiles_match_per_degree_loop(d):
+    rng = np.random.default_rng(40 + d)
+    cfg = ShellConfig(0.3, 0.6)
+    north = np.zeros(d + 1)
+    north[d] = 1.0
+    dirs = random_points(d, 50, rng)
+    area = surface_area(d)
+    for pole in (north, random_points(d, 1, rng)[0]):
+        zc = ZonalCoefficients(pole, rng.uniform(-1.0, 1.0, 25))
+        swept = balayage_transform(zc, cfg)
+        table = legendre_table(d, zc.max_degree, np.clip(dirs @ zc.pole, -1, 1))
+        want = np.zeros(len(dirs))
+        want_shell = np.zeros(len(dirs))
+        for l in range(zc.max_degree + 1):
+            weight = harmonic_dim(d, l) / area * table[l]
+            want += zc.coeffs[l] * kernel_coefficient(d, l, 0.45) * weight
+            shell = (d - 1) * area / ((2 * l + d - 1) * cfg.r ** (d - 1))
+            want_shell += swept.coeffs[l] * shell * weight
+        assert_allclose(zonal_potential_profile(zc, 0.45, dirs), want, rtol=1e-12)
+        assert_allclose(
+            shell_zonal_potential_profile(swept, cfg, dirs), want_shell, rtol=1e-12
+        )
+
+
+def test_zonal_potential_profile_rejects_radius_outside_unit_interval():
+    zc = zonal_coefficients_of_atom([0.0, 0, 1], 4)
+    dirs = random_points(2, 3, 0)
+    for radius in (1.0, 0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="radius"):
+            zonal_potential_profile(zc, radius, dirs)
+
+
 def test_zonal_pair_cancellation():
     pole = np.array([0.0, 0.0, 1.0])
     zc = zonal_coefficients_of_atom(pole, 12)
@@ -398,8 +438,6 @@ def test_balayage_preserves_interior_potential():
     inner = ZonalCoefficients(pole, swept.coeffs * ratio**Ls / cfg.r ** (2 - 1))
     # reuse the boundary evaluator's per-degree factor structure at ratio < 1
     vals = np.zeros(len(dirs))
-    from spherekh.specfun import harmonic_dim, legendre_table
-
     u = np.clip(dirs @ pole, -1, 1)
     table = legendre_table(2, L, u)
     area = surface_area(2)

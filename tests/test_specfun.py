@@ -199,17 +199,6 @@ def test_truncation_degree_bound_is_honest():
             assert tail <= bound
 
 
-def test_truncation_degree_operator_weight():
-    d = 2
-    degree, bound = truncation_degree(d, 0.6, tol=1e-10, operator_weight=True)
-    assert bound < 1e-10
-    tail = sum(
-        (2 * l + d - 1) * math.comb(l + d - 2, l) * 0.6**l
-        for l in range(degree + 1, degree + 4000)
-    )
-    assert tail <= bound
-
-
 def test_truncation_degree_monotone_in_tolerance():
     d1, _ = truncation_degree(2, 0.5, tol=1e-6)
     d2, _ = truncation_degree(2, 0.5, tol=1e-12)
