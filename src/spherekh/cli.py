@@ -8,8 +8,6 @@ the tolerance, or the accuracy gate fails, and 2 on input problems
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
-from pathlib import Path
 
 from . import fileio
 from .discrepancy import (
@@ -32,42 +30,7 @@ from .geom import (
 )
 from .measures import ShellConfig, sphere_surface_quadrature
 
-COMMANDS = (
-    "verify-identity",
-    "bound",
-    "corollary3",
-    "thm4a",
-    "thm4b",
-    "partition",
-    "meshnorm",
-    "scaling",
-)
-
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    command: str
-    d: int = 2
-    r0: float = 0.3
-    r: float = 0.7
-    p: float = 2.0
-    tol: float = 1e-8
-    seed: int = 0
-    degree: int = 80
-    trunc_tol: float = 1e-12
-    epsilon: float | None = None
-    n: int | None = None
-    n_values: list | None = None
-    mu_degree: int = 60
-    field: str | None = None
-    sigma: str | None = None
-    rule: str | None = None
-    points: str | None = None
-    out: str | None = None
-    csv: str | None = None
-    resolution: int | None = None
 
 
 def _parse_exponent(text: str) -> float:
@@ -86,6 +49,72 @@ def _parse_sizes(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
+# Every flag's spec and default, stated once; the flag name is the key.
+_FLAGS = {
+    "d": dict(type=int, default=2, help="sphere dimension (>= 2)"),
+    "r0": dict(type=float, default=0.3, help="inner radius"),
+    "r": dict(type=float, default=0.7, help="shell radius"),
+    "tol": dict(type=float, default=1e-8, help="acceptance tolerance"),
+    "seed": dict(type=int, default=0, help="seed recorded in reports"),
+    "degree": dict(type=int, default=80, help="shell quadrature degree"),
+    "trunc-tol": dict(type=float, default=1e-12, help="expansion truncation tolerance"),
+    "out": dict(help="write the JSON report here (default: stdout)"),
+    "field": dict(help="charge-list JSON file"),
+    "sigma": dict(help="signed-measure CSV/JSON file"),
+    "rule": dict(help="rule nodes/weights CSV/JSON file"),
+    "p": dict(type=_parse_exponent, default=2.0, help="exponent in [1, inf]"),
+    "mu-degree": dict(
+        type=int, default=60, help="degree of the reference surface quadrature"
+    ),
+    "n": dict(type=int, help="equal-area partition size"),
+    "epsilon": dict(type=float, help="target accuracy"),
+    "points": dict(help="scattering CSV/JSON file"),
+    "resolution": dict(type=int, help="mesh-norm sampling resolution"),
+    "n-values": dict(
+        type=_parse_sizes,
+        default=(64, 256, 1024),
+        help="comma-separated ascending sizes",
+    ),
+    "csv": dict(help="also write the row table as CSV here"),
+}
+
+# Each command's help and the flags its runner reads; "!" marks a required
+# flag.  Where a command reads --points, --d defaults to the file's dimension.
+_COMMANDS = {
+    "verify-identity": (
+        "check the shell-pairing identity",
+        "d r0 r tol seed degree trunc-tol out field! sigma!",
+    ),
+    "bound": (
+        "check the dual-norm error bound",
+        "d r0 r tol seed degree trunc-tol out field! sigma! p",
+    ),
+    "corollary3": (
+        "bound the error of a quadrature rule",
+        "d r0 r tol seed degree trunc-tol out field! rule! p mu-degree",
+    ),
+    "thm4a": (
+        "partition-rule sup bound on one shell",
+        "d r0 r tol seed out n! mu-degree",
+    ),
+    "thm4b": (
+        "reduction pipeline with accuracy gate",
+        "d r0 seed out epsilon! points n mu-degree resolution",
+    ),
+    "partition": ("export an equal-area partition", "d out n!"),
+    "meshnorm": (
+        "estimate the covering radius of points",
+        "d seed out points! resolution",
+    ),
+    "scaling": (
+        "decay study across partition sizes",
+        "d r0 r tol seed degree out n-values csv",
+    ),
+}
+
+COMMANDS = tuple(_COMMANDS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spherekh",
@@ -95,119 +124,56 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, shell=True):
-        p.add_argument("--d", type=int, default=2, help="sphere dimension (>= 2)")
-        if shell:
-            p.add_argument("--r0", type=float, default=0.3, help="inner radius")
-            p.add_argument("--r", type=float, default=0.7, help="shell radius")
-        p.add_argument("--tol", type=float, default=1e-8, help="acceptance tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-        p.add_argument(
-            "--degree", type=int, default=80, help="shell quadrature degree"
-        )
-        p.add_argument(
-            "--trunc-tol",
-            type=float,
-            default=1e-12,
-            help="expansion truncation tolerance",
-        )
-        p.add_argument("--out", help="write the JSON report here (default: stdout)")
-
-    p = sub.add_parser("verify-identity", help="check the shell-pairing identity")
-    common(p)
-    p.add_argument("--field", required=True, help="charge-list JSON file")
-    p.add_argument("--sigma", required=True, help="signed-measure CSV/JSON file")
-
-    p = sub.add_parser("bound", help="check the dual-norm error bound")
-    common(p)
-    p.add_argument("--field", required=True)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--p", type=_parse_exponent, default=2.0, help="exponent in [1, inf]")
-
-    p = sub.add_parser("corollary3", help="bound the error of a quadrature rule")
-    common(p)
-    p.add_argument("--field", required=True)
-    p.add_argument("--rule", required=True, help="rule nodes/weights CSV/JSON")
-    p.add_argument("--p", type=_parse_exponent, default=2.0)
-    p.add_argument(
-        "--mu-degree",
-        type=int,
-        default=60,
-        help="degree of the reference surface quadrature",
-    )
-
-    p = sub.add_parser("thm4a", help="partition-rule sup bound on one shell")
-    common(p)
-    p.add_argument("--n", type=int, required=True, help="equal-area partition size")
-    p.add_argument("--mu-degree", type=int, default=60)
-
-    p = sub.add_parser("thm4b", help="reduction pipeline with accuracy gate")
-    common(p, shell=False)
-    p.add_argument("--r0", type=float, default=0.3)
-    p.add_argument("--epsilon", type=float, required=True, help="target accuracy")
-    p.add_argument("--points", help="scattering CSV/JSON (default: equal-area centers)")
-    p.add_argument("--n", type=int, help="equal-area size when --points is absent")
-    p.add_argument("--mu-degree", type=int, default=60)
-    p.add_argument("--resolution", type=int, help="mesh-norm sampling resolution")
-
-    p = sub.add_parser("partition", help="export an equal-area partition")
-    common(p, shell=False)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("meshnorm", help="estimate the covering radius of points")
-    common(p, shell=False)
-    p.add_argument("--points", required=True)
-    p.add_argument("--resolution", type=int)
-
-    p = sub.add_parser("scaling", help="decay study across partition sizes")
-    common(p)
-    p.add_argument(
-        "--n-values",
-        type=_parse_sizes,
-        default=[64, 256, 1024],
-        help="comma-separated ascending sizes",
-    )
-    p.add_argument("--csv", help="also write the row table as CSV here")
-
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        names = flags.replace("!", "").split()
+        for flag in flags.split():
+            name = flag.rstrip("!")
+            spec = dict(_FLAGS[name], required=flag.endswith("!"))
+            if name == "d" and "points" in names:
+                spec.update(default=None, help="sphere dimension (default: --points)")
+            p.add_argument("--" + name, **spec)
     return parser
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    allowed = {f.name for f in fields(RunConfig)}
-    kwargs = {k: v for k, v in vars(ns).items() if k in allowed}
-    config = RunConfig(**kwargs)
-    if config.d < 2:
+    config = parser.parse_args(argv)
+    if config.d is not None and config.d < 2:
         parser.error(f"--d: dimension must be at least 2, got {config.d}")
-    if hasattr(ns, "r"):
+    if "r" in config:
         if not 0 < config.r0 < config.r < 1:
             parser.error(
                 f"--r0/--r: requires r0 < r with both in (0, 1), got "
                 f"r0={config.r0}, r={config.r}"
             )
-    elif hasattr(ns, "r0") and not 0 < config.r0 < 1:
+    elif "r0" in config and not 0 < config.r0 < 1:
         parser.error(f"--r0: must lie in (0, 1), got {config.r0}")
-    if config.tol <= 0:
+    if "tol" in config and config.tol <= 0:
         parser.error(f"--tol: tolerance must be positive, got {config.tol}")
     if config.command == "thm4b" and config.points is None and config.n is None:
         parser.error("thm4b: provide --points or --n")
     return config
 
 
-def _emit(config: RunConfig, payload: dict) -> None:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": config.command,
-        "seed": config.seed,
-        **payload,
-    }
-    text = fileio.json_dumps(payload)
-    if config.out:
-        Path(config.out).write_text(text + "\n")
+def _write(out, payload: dict) -> None:
+    """The payload as deterministic JSON, to the file ``out`` or to stdout."""
+    if out:
+        fileio.write_report_json(out, payload)
     else:
-        print(text)
+        print(fileio.json_dumps(payload))
+
+
+def _emit(config, payload: dict) -> None:
+    _write(
+        config.out,
+        {
+            "schema_version": SCHEMA_VERSION,
+            "command": config.command,
+            "seed": config.seed,
+            **payload,
+        },
+    )
 
 
 def _digests(**paths) -> dict:
@@ -218,24 +184,40 @@ def _digests(**paths) -> dict:
     }
 
 
-def _shell(config: RunConfig) -> ShellConfig:
+def _shell(config) -> ShellConfig:
     return ShellConfig(config.r0, config.r)
 
 
-def _run_verify_identity(config: RunConfig) -> int:
+def _read_scattering(config) -> Scattering:
+    """The --points scattering; a given --d must match the file."""
+    points = fileio.read_points(config.points)
+    dim = points.shape[1] - 1
+    if config.d is not None and config.d != dim:
+        raise ValueError(
+            f"{config.points}: points lie on S^{dim}, but --d is {config.d}"
+        )
+    return Scattering(points)
+
+
+def _run_verify_identity(config) -> int:
     field = fileio.read_field(config.field)
     sigma = fileio.read_measure(config.sigma)
     quad = sphere_surface_quadrature(config.d, config.degree)
     report = kh_identity(field, sigma, _shell(config), quad, config.trunc_tol)
+    _emit_series(config, report, field=config.field, sigma=config.sigma)
+    return 0 if report.relative <= config.tol else 1
+
+
+def _emit_series(config, report, **inputs) -> None:
+    """Report of a command that sums field expansions, with both tolerances."""
     _emit(
         config,
         {
-            "inputs": _digests(field=config.field, sigma=config.sigma),
+            "inputs": _digests(**inputs),
             "tolerances": {"tol": config.tol, "trunc_tol": config.trunc_tol},
             "result": report.to_dict(),
         },
     )
-    return 0 if report.relative <= config.tol else 1
 
 
 def _bound_exit(report) -> int:
@@ -243,25 +225,18 @@ def _bound_exit(report) -> int:
     return 1 if violated else 0
 
 
-def _run_bound(config: RunConfig) -> int:
+def _run_bound(config) -> int:
     field = fileio.read_field(config.field)
     sigma = fileio.read_measure(config.sigma)
     quad = sphere_surface_quadrature(config.d, config.degree)
     report = duality_bound(
         field, sigma, _shell(config), quad, config.p, config.trunc_tol
     )
-    _emit(
-        config,
-        {
-            "inputs": _digests(field=config.field, sigma=config.sigma),
-            "tolerances": {"tol": config.tol, "trunc_tol": config.trunc_tol},
-            "result": report.to_dict(),
-        },
-    )
+    _emit_series(config, report, field=config.field, sigma=config.sigma)
     return _bound_exit(report)
 
 
-def _run_corollary3(config: RunConfig) -> int:
+def _run_corollary3(config) -> int:
     field = fileio.read_field(config.field)
     rule = fileio.read_measure(config.rule)
     mu = sphere_surface_quadrature(config.d, config.mu_degree)
@@ -269,18 +244,11 @@ def _run_corollary3(config: RunConfig) -> int:
     report = quadrature_error_bound(
         field, mu, rule, _shell(config), quad, config.p, config.trunc_tol
     )
-    _emit(
-        config,
-        {
-            "inputs": _digests(field=config.field, rule=config.rule),
-            "tolerances": {"tol": config.tol, "trunc_tol": config.trunc_tol},
-            "result": report.to_dict(),
-        },
-    )
+    _emit_series(config, report, field=config.field, rule=config.rule)
     return _bound_exit(report)
 
 
-def _run_thm4a(config: RunConfig) -> int:
+def _run_thm4a(config) -> int:
     part = equal_area_partition(config.d, config.n)
     matched = match_partition_to_scattering(
         part, Scattering(representatives(part))
@@ -301,54 +269,41 @@ def _run_thm4a(config: RunConfig) -> int:
     return 0 if report.measured_sup <= report.bound + 1e-9 else 1
 
 
-def _run_thm4b(config: RunConfig) -> int:
+def _run_thm4b(config) -> int:
     if config.points is not None:
-        scattering = Scattering(fileio.read_points(config.points))
+        scattering = _read_scattering(config)
     else:
-        part = equal_area_partition(config.d, config.n)
+        # without a points file the equal-area centers lie on S^2 unless --d
+        part = equal_area_partition(config.d or 2, config.n)
         scattering = Scattering(representatives(part))
-    mu = sphere_surface_quadrature(config.d, config.mu_degree)
+    mu = sphere_surface_quadrature(scattering.dim, config.mu_degree)
     try:
         report = reduction_pipeline(
-            scattering,
-            mu,
-            config.epsilon,
-            config.r0,
-            resolution=config.resolution,
+            scattering, mu, config.epsilon, config.r0, resolution=config.resolution
         )
     except (GateConditionError, AdmissibleWindowError) as exc:
-        _emit(
-            config,
-            {
-                "inputs": _digests(points=config.points),
-                "tolerances": {"epsilon": config.epsilon},
-                "failure": type(exc).__name__,
-                "detail": str(exc),
-            },
-        )
-        return 1
+        outcome, code = {"failure": type(exc).__name__, "detail": str(exc)}, 1
+    else:
+        outcome, code = {"result": report.to_dict()}, 0 if report.within_epsilon else 1
     _emit(
         config,
         {
             "inputs": _digests(points=config.points),
             "tolerances": {"epsilon": config.epsilon},
-            "result": report.to_dict(),
+            **outcome,
         },
     )
-    return 0 if report.within_epsilon else 1
+    return code
 
 
-def _run_partition(config: RunConfig) -> int:
+def _run_partition(config) -> int:
     part = equal_area_partition(config.d, config.n)
-    if config.out:
-        fileio.write_partition_json(config.out, part)
-    else:
-        print(fileio.json_dumps(fileio.partition_payload(part)))
+    _write(config.out, fileio.partition_payload(part))
     return 0
 
 
-def _run_meshnorm(config: RunConfig) -> int:
-    scattering = Scattering(fileio.read_points(config.points))
+def _run_meshnorm(config) -> int:
+    scattering = _read_scattering(config)
     estimate = mesh_norm(scattering, config.resolution)
     _emit(
         config,
@@ -366,27 +321,11 @@ def _run_meshnorm(config: RunConfig) -> int:
     return 0
 
 
-def _run_scaling(config: RunConfig) -> int:
+def _run_scaling(config) -> int:
     quad = sphere_surface_quadrature(config.d, config.degree)
     study = scaling_study(config.d, config.n_values, _shell(config), quad)
     if config.csv:
-        lines = ["n,mesh_norm,partition_norm,measured_sup,bound"]
-        for row in study.rows:
-            lines.append(
-                ",".join(
-                    [str(row.n)]
-                    + [
-                        fileio.format_float(v)
-                        for v in (
-                            row.mesh_norm,
-                            row.partition_norm,
-                            row.measured_sup,
-                            row.bound,
-                        )
-                    ]
-                )
-            )
-        Path(config.csv).write_text("\n".join(lines) + "\n")
+        fileio.write_scaling_csv(config.csv, study.rows)
     _emit(
         config,
         {
@@ -410,7 +349,7 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     return _RUNNERS[config.command](config)
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "write_partition_json",
     "write_profile_csv",
     "write_expansion_csv",
+    "write_scaling_csv",
 ]
 
 
@@ -94,6 +95,16 @@ def write_report_json(path, payload: dict) -> None:
     Path(path).write_text(json_dumps(payload) + "\n")
 
 
+def _write_csv(path, header, rows) -> None:
+    """``header`` (if not None), then each row's cells through format_float.
+
+    Integer cells (indices, sizes) come out unchanged, as "12" not "12.0".
+    """
+    lines = [] if header is None else [header]
+    lines.extend(",".join(map(format_float, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def file_digest(path) -> str:
     """Hex SHA-256 of the file contents."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -138,6 +149,14 @@ def _csv_header_dim(path) -> int | None:
         except ValueError:
             raise _parse_error(path, 1, f"malformed dimension header {first!r}")
     return None
+
+
+def _named(path, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, naming ``path`` in any ValueError it raises."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _json_object(path: Path) -> dict:
@@ -191,12 +210,7 @@ def read_points(path) -> np.ndarray:
 
 def write_points_csv(path, points, dim: int | None = None) -> None:
     points = np.asarray(points, dtype=float)
-    lines = []
-    if dim is not None:
-        lines.append(f"# d={dim}")
-    for row in points:
-        lines.append(",".join(format_float(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, None if dim is None else f"# d={dim}", points)
 
 
 def write_points_json(path, points, dim: int) -> None:
@@ -211,7 +225,7 @@ def read_measure(path) -> DiscreteSignedMeasure:
         doc = _json_object(path)
         points = _json_floats(path, doc, "points")
         weights = _json_floats(path, doc, "weights")
-        return DiscreteSignedMeasure(points, weights, label=str(path))
+        return _named(path, DiscreteSignedMeasure, points, weights, label=str(path))
     rows = [row for _, row in _csv_rows(path)]
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -221,17 +235,14 @@ def read_measure(path) -> DiscreteSignedMeasure:
             f"{path}: measure rows need at least 4 columns "
             f"(x_0,…,x_d,weight), found {table.shape[1]}"
         )
-    return DiscreteSignedMeasure(table[:, :-1], table[:, -1], label=str(path))
+    points, weights = table[:, :-1], table[:, -1]
+    return _named(path, DiscreteSignedMeasure, points, weights, label=str(path))
 
 
 def write_measure_csv(path, measure) -> None:
     """Write a signed or quadrature measure as CSV rows x_0,…,x_d,weight."""
     support = measure.points if hasattr(measure, "points") else measure.nodes
-    lines = [f"# d={measure.dim}"]
-    for point, weight in zip(support, measure.weights):
-        coords = ",".join(format_float(x) for x in point)
-        lines.append(f"{coords},{format_float(weight)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, f"# d={measure.dim}", np.column_stack([support, measure.weights]))
 
 
 def read_field(path) -> HarmonicField:
@@ -264,7 +275,8 @@ def read_field(path) -> HarmonicField:
     dim = doc.get("d")
     if not charges and dim is None:
         raise ValueError(f"{path}: empty charge list requires an explicit 'd'")
-    return make_field(charges, dim=_json_dim(path, dim) if dim is not None else None)
+    dim = _json_dim(path, dim) if dim is not None else None
+    return _named(path, make_field, charges, dim=dim)
 
 
 def write_field_json(path, field: HarmonicField) -> None:
@@ -298,15 +310,17 @@ def write_partition_json(path, partition: Partition) -> None:
 
 
 def write_profile_csv(path, values) -> None:
-    lines = ["node_index,value"]
-    for i, v in enumerate(np.asarray(values, dtype=float)):
-        lines.append(f"{i},{format_float(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "node_index,value", enumerate(np.asarray(values, dtype=float)))
 
 
 def write_expansion_csv(path, expansion: FieldExpansion) -> None:
-    lines = ["charge_index,l,coefficient"]
-    for k, coeffs in enumerate(expansion.coeffs):
-        for l, c in enumerate(coeffs):
-            lines.append(f"{k},{l},{format_float(c)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    coeffs = expansion.coeffs
+    rows = ((k, l, c) for k, row in enumerate(coeffs) for l, c in enumerate(row))
+    _write_csv(path, "charge_index,l,coefficient", rows)
+
+
+def write_scaling_csv(path, rows) -> None:
+    """Scaling-study rows (``ScalingRow``) as CSV, one line per size n."""
+    columns = ("n", "mesh_norm", "partition_norm", "measured_sup", "bound")
+    table = ([getattr(row, c) for c in columns] for row in rows)
+    _write_csv(path, ",".join(columns), table)

@@ -167,7 +167,8 @@ def truncation_degree(
     ``prefactor * binom(l+dim-2, l) * ratio**l`` (the plain kernel series).
     Term ratios decrease monotonically, so as soon as the step ratio q falls
     below 1 the tail is dominated by ``term / (1 - q)``.  Returns
-    ``(degree, tail_bound)``.
+    ``(degree, tail_bound)``; raises ValueError when no degree below
+    100 000 reaches ``tol``.
     """
     dim = _check_dim(dim)
     ratio = float(ratio)
@@ -182,14 +183,18 @@ def truncation_degree(
     def term(l: int) -> float:
         return prefactor * math.comb(l + dim - 2, l) * ratio**l
 
-    for degree in range(100_000):
+    cap = 100_000
+    for degree in range(cap):
         nxt = term(degree + 1)
         q = nxt / term(degree)
         if q < 1.0:
             bound = nxt / (1.0 - q)
             if bound < tol:
                 return degree, bound
-    raise RuntimeError("truncation search did not converge")
+    raise ValueError(
+        f"truncation search did not converge below degree {cap} for ratio "
+        f"{ratio} and tolerance {tol}"
+    )
 
 
 def latitude_quadrature(dim: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -182,6 +182,20 @@ _MALFORMED = [
         id="field-location-mixed",
     ),
     pytest.param("field", '{"d": 2.7, "charges": []}', id="field-d-fraction"),
+    # well-formed JSON that the measure or field constructor rejects
+    pytest.param("sigma", '{"points": [0.1], "weights": [1]}', id="sigma-points-flat"),
+    pytest.param("sigma", '{"points": [], "weights": []}', id="sigma-empty"),
+    pytest.param(
+        "sigma", '{"points": [[1, 0, 0]], "weights": [[1]]}', id="sigma-weights-nested"
+    ),
+    pytest.param(
+        "field",
+        '{"d": 3, "charges": [{"location": [0.1, 0, 0], "strength": 1}]}',
+        id="field-d-disagrees",
+    ),
+    pytest.param(
+        "field", '{"charges": [{"location": [1.5, 0, 0], "strength": 1}]}', id="field-outside"
+    ),
 ]
 
 
@@ -199,6 +213,68 @@ def test_malformed_json_exits_2(inputs, capsys, flag, text):
     err = capsys.readouterr().err
     assert str(bad) in err
     assert "Traceback" not in err
+
+
+def test_truncation_not_converging_exits_2(inputs, capsys):
+    tmp, _, sigma = inputs
+    field = tmp / "near.json"
+    field.write_text('{"charges": [{"location": [0.69994, 0, 0], "strength": 1}]}')
+    argv = ["verify-identity", "--field", str(field), "--sigma", sigma,
+            "--r0", "0.69995", "--r", "0.69996"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "tolerance" in err
+    assert "Traceback" not in err
+
+
+# (command, its other arguments, a flag the command does not take)
+_DROPPED_FLAGS = [
+    (cmd, argv, flag)
+    for cmd, argv, flags in (
+        ("thm4a", ["--n", "8"], ("--degree", "--trunc-tol")),
+        ("thm4b", ["--n", "8", "--epsilon", "1"], ("--tol", "--degree", "--trunc-tol")),
+        ("partition", ["--n", "8"], ("--tol", "--seed", "--degree", "--trunc-tol")),
+        ("meshnorm", ["--points", "p.csv"], ("--tol", "--degree", "--trunc-tol")),
+        ("scaling", [], ("--trunc-tol",)),
+    )
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize(
+    "cmd, argv, flag", _DROPPED_FLAGS, ids=[f"{c}{f}" for c, _, f in _DROPPED_FLAGS]
+)
+def test_unread_flags_are_rejected(capsys, cmd, argv, flag):
+    parse_args([cmd] + argv)
+    with pytest.raises(SystemExit) as info:
+        parse_args([cmd] + argv + [flag, "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["meshnorm", "thm4b"])
+def test_d_must_match_points_file(tmp_path, capsys, cmd):
+    path = tmp_path / "s2.csv"
+    write_points_csv(path, random_points(2, 40, 3), dim=2)
+    argv = [cmd, "--points", str(path), "--out", str(tmp_path / "r.json")]
+    if cmd == "thm4b":
+        argv += ["--epsilon", "1e-3", "--mu-degree", "10"]
+    assert main(argv + ["--d", "3"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "S^2" in err
+    # the file's own dimension, given or not, is accepted
+    assert main(argv + ["--d", "2"]) != 2
+    assert main(argv) != 2
+
+
+def test_thm4b_reads_d_from_points(tmp_path):
+    path = tmp_path / "s3.csv"
+    write_points_csv(path, random_points(3, 30, 4), dim=3)
+    out = tmp_path / "t4b.json"
+    argv = ["thm4b", "--points", str(path), "--mu-degree", "10",
+            "--epsilon", "1e-3", "--out", str(out)]
+    assert main(argv) == 1
+    assert json.loads(out.read_text())["failure"] == "GateConditionError"
 
 
 def test_missing_file_exits_2(inputs, capsys):

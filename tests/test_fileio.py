@@ -20,7 +20,9 @@ from spherekh.fileio import (
     write_points_json,
     write_profile_csv,
     write_report_json,
+    write_scaling_csv,
 )
+from spherekh.discrepancy import ScalingRow
 from spherekh.geom import Scattering, equal_area_partition, random_points
 from spherekh.harmonic import expand_field, make_field, random_field
 from spherekh.measures import DiscreteSignedMeasure, sphere_surface_quadrature
@@ -229,6 +231,32 @@ def test_profile_and_expansion_csv(tmp_path):
     first = rows[1].split(",")
     assert first[0] == "0" and first[1] == "0"
     assert float(first[2]) == exp.coeffs[0][0]
+
+
+def test_csv_writers_exact_bytes(tmp_path):
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+    six, eight = "0.59999999999999998", "0.80000000000000004"
+    path = tmp_path / "out.csv"
+    cases = [
+        (write_points_csv, (pts, 2), f"# d=2\n1,0,0\n0,{six},{eight}\n"),
+        (write_points_csv, (pts,), f"1,0,0\n0,{six},{eight}\n"),
+        (
+            write_measure_csv,
+            (DiscreteSignedMeasure(pts, [0.5, -1 / 3]),),
+            f"# d=2\n1,0,0,0.5\n0,{six},{eight},-0.33333333333333331\n",
+        ),
+        (write_profile_csv, ([0.1, -2],), "node_index,value\n0,0.10000000000000001\n1,-2\n"),
+        (
+            write_scaling_csv,
+            ([ScalingRow(16, 0.5, 0.25, 0.1, 2.0), ScalingRow(64, 0.2, 0.1, 0.01, 1.0)],),
+            "n,mesh_norm,partition_norm,measured_sup,bound\n"
+            "16,0.5,0.25,0.10000000000000001,2\n64,0.20000000000000001,"
+            "0.10000000000000001,0.01,1\n",
+        ),
+    ]
+    for writer, args, expected in cases:
+        writer(path, *args)
+        assert path.read_text() == expected, writer.__name__
 
 
 def test_file_digest_stable(tmp_path):

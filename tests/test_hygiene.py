@@ -1,11 +1,14 @@
-"""Static checks on the package sources: exported names exist, imports are used."""
+"""Static checks on the package sources: exported names exist, imports are used,
+and every CLI flag is read."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
 
 import spherekh
+from spherekh import cli
 
 MODULES = sorted(Path(spherekh.__file__).parent.glob("*.py"))
 
@@ -67,3 +70,38 @@ def test_no_unused_imports(path):
     ]
     unused = sorted(set(imported) - _used_names(tree) - set(_exported(tree)))
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _config_reads(functions: dict, name: str, seen: set) -> set:
+    """Attributes read as ``config.<attr>`` in ``name`` and the cli functions it calls."""
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "config"
+        ):
+            reads.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in functions
+            and node.func.id not in seen
+        ):
+            reads |= _config_reads(functions, node.func.id, seen)
+    return reads
+
+
+def test_every_cli_flag_is_read_by_its_runner():
+    tree = _tree(Path(cli.__file__))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert sorted(subparsers.choices) == sorted(cli.COMMANDS)
+    for command, parser in subparsers.choices.items():
+        dests = {a.dest for a in parser._actions if a.dest not in ("help", "command")}
+        runner = cli._RUNNERS[command].__name__
+        unread = sorted(dests - _config_reads(functions, runner, set()))
+        assert not unread, f"{command}: flags never read by {runner}: {unread}"

@@ -208,6 +208,9 @@ def test_truncation_degree_monotone_in_tolerance():
         truncation_degree(2, 1.0)
     with pytest.raises(ValueError):
         truncation_degree(2, 0.5, tol=0.0)
+    # no degree below the search cap reaches tol: a ValueError naming both
+    with pytest.raises(ValueError, match=r"ratio 0\.99999 and tolerance 1e-12"):
+        truncation_degree(2, 0.99999, tol=1e-12)
 
 
 def test_latitude_quadrature_mass_and_exactness():
