@@ -196,7 +196,7 @@ def _read_scattering(config) -> Scattering:
         raise ValueError(
             f"{config.points}: points lie on S^{dim}, but --d is {config.d}"
         )
-    return Scattering(points)
+    return fileio._named(config.points, Scattering, points)
 
 
 def _run_verify_identity(config) -> int:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .geom import (
-    MatchedPartition,
+    Partition,
     Scattering,
     _reduce_on_grid,
     _sampled_mesh_norm,
@@ -287,7 +287,7 @@ def partition_weights(mu: QuadratureMeasure, partition) -> np.ndarray:
 
 
 def _rule_error_measure(
-    mu: QuadratureMeasure, matched: MatchedPartition
+    mu: QuadratureMeasure, matched: Partition
 ) -> DiscreteSignedMeasure:
     weights = partition_weights(mu, matched)
     # a region holding no node of mu adds only zero terms to the probe sums
@@ -298,7 +298,7 @@ def _rule_error_measure(
 
 def partition_rule_bound(
     mu: QuadratureMeasure,
-    matched: MatchedPartition,
+    matched: Partition,
     cfg: ShellConfig,
     quad: QuadratureMeasure,
 ) -> PartitionSupReport:

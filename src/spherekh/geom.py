@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -25,10 +25,6 @@ from .specfun import surface_area
 __all__ = [
     "Scattering",
     "Partition",
-    "CirclePartition",
-    "ZonalPartition",
-    "MatchedPartition",
-    "MergedPartition",
     "MeshNormEstimate",
     "ReductionResult",
     "PartitionMatchError",
@@ -131,8 +127,10 @@ class Scattering:
             nearest = dist[:, 1]
             i = int(np.argmin(nearest))
             if nearest[i] <= _MIN_SEPARATION:
+                # among coincident points the query may list i itself second
+                j = int(idx[i, 0] if idx[i, 1] == i else idx[i, 1])
                 raise ValueError(
-                    f"scattering points {i} and {int(idx[i, 1])} coincide "
+                    f"scattering points {min(i, j)} and {max(i, j)} coincide "
                     f"(separation {nearest[i]:.3g})"
                 )
 
@@ -149,24 +147,60 @@ class Scattering:
         return len(self.points)
 
 
+@dataclass(eq=False)
 class Partition:
-    """Base interface: per-cell arrays plus a total membership function.
+    """A partition of S^dim: per-cell arrays plus the zonal layout they index.
 
     Per-cell ``areas`` and ``diameters`` of shape (n,); ``reps`` of shape
-    (n, dim + 1) holds a point inside each cell.
+    (n, dim + 1) holds a point inside each cell.  The layout is recursive:
+    ``bounds`` holds the lower latitude of each band, north to south and
+    ending at -1, and ``counts`` the number of cells in each band.  On S^2
+    a band splits into equal arcs; on S^dim for dim >= 3 into the cells of
+    ``subs[count]``, the equal-area partition of S^(dim-1) shared by every
+    band of that count.  Shared latitude boundaries belong to the northern
+    band, so every point of the sphere has exactly one zonal cell.
+    ``groups`` maps each zonal cell to the merged cell holding it, or is
+    None when no cells were merged.
     """
 
     dim: int
     areas: np.ndarray
     diameters: np.ndarray
     reps: np.ndarray
+    bounds: np.ndarray
+    counts: np.ndarray
+    subs: dict[int, Partition]
+    groups: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return len(self.areas)
 
     def region_index(self, points) -> np.ndarray:
-        raise NotImplementedError
+        """Index of the cell holding each point; every point has exactly one."""
+        arr = np.atleast_2d(np.asarray(points, dtype=float))
+        if arr.shape[1] != self.dim + 1:
+            raise ValueError(
+                f"points have {arr.shape[1]} coordinates, expected {self.dim + 1}"
+            )
+        t = np.clip(arr[:, -1], -1.0, 1.0)
+        band = np.searchsorted(-self.bounds, -t, side="left")
+        np.clip(band, 0, len(self.counts) - 1, out=band)
+        counts = self.counts[band]
+        out = (np.cumsum(self.counts) - self.counts)[band]
+        xi = arr[:, :-1]
+        nrm = np.linalg.norm(xi, axis=1)
+        safe = nrm > 1e-15
+        xi = np.where(safe[:, None], xi / np.where(safe, nrm, 1.0)[:, None], 0.0)
+        xi[~safe, 0] = 1.0
+        if self.dim == 2:
+            # a one-cell band is one arc, so it adds nothing
+            out += _arc_index(xi, counts)
+        for count, sub in self.subs.items():
+            rows = counts == count
+            if np.any(rows):
+                out[rows] += sub.region_index(xi[rows])
+        return out if self.groups is None else self.groups[out]
 
 
 def partition_norm(partition: Partition) -> float:
@@ -179,36 +213,27 @@ def representatives(partition: Partition) -> np.ndarray:
     return partition.reps.copy()
 
 
-class CirclePartition(Partition):
-    """S^1 split into ``count`` equal closed arcs, seam at angle zero.
+def _arc_cells(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diameters and midpoints of S^1 split into ``count`` equal arcs."""
+    width = 2.0 * math.pi / count
+    diameters = np.full(count, 2.0 * math.sin(min(width, math.pi) / 2.0))
+    # math.cos/sin rather than their numpy ufuncs, which may round
+    # differently and would change exported representatives
+    mids = ((np.arange(count) + 0.5) * width).tolist()
+    return diameters, np.column_stack([list(map(math.cos, mids)), list(map(math.sin, mids))])
 
-    Used as the recursion base for collar subdivisions; region areas are arc
-    lengths.  Shared arc endpoints belong to the lower-index arc.
+
+def _arc_index(xy: np.ndarray, counts) -> np.ndarray:
+    """Arc of each row of ``xy`` when S^1 is split into that row's count of arcs.
+
+    The seam is at angle zero, and a shared arc endpoint belongs to the
+    lower-index arc.
     """
-
-    dim = 1
-
-    def __init__(self, count: int):
-        if count < 1:
-            raise ValueError("need at least one arc")
-        self.count = count
-        self.width = 2.0 * math.pi / count
-        self.areas = np.full(count, self.width)
-        self.diameters = np.full(count, 2.0 * math.sin(min(self.width, math.pi) / 2.0))
-        # math.cos/sin rather than their numpy ufuncs, which may round
-        # differently and would change exported representatives
-        mids = ((np.arange(count) + 0.5) * self.width).tolist()
-        self.reps = np.column_stack([list(map(math.cos, mids)), list(map(math.sin, mids))])
-
-    def region_index(self, points) -> np.ndarray:
-        arr = np.atleast_2d(np.asarray(points, dtype=float))
-        phi = np.mod(np.arctan2(arr[:, 1], arr[:, 0]), 2.0 * math.pi)
-        q = phi / self.width
-        k = np.floor(q).astype(np.int64)
-        exact = (q == k) & (k > 0)
-        k[exact] -= 1
-        np.clip(k, 0, self.count - 1, out=k)
-        return k
+    phi = np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * math.pi)
+    q = phi / (2.0 * math.pi / counts)
+    k = np.floor(q).astype(np.int64)
+    k[(q == k) & (k > 0)] -= 1
+    return np.clip(k, 0, counts - 1)
 
 
 def _band_diameter_sq(t_lo: float, t_hi: float, sub_diameter: float) -> float:
@@ -238,85 +263,51 @@ def _band_diameter_sq(t_lo: float, t_hi: float, sub_diameter: float) -> float:
     return min(best, 4.0)
 
 
-@dataclass
-class _Band:
-    t_hi: float
-    t_lo: float
-    count: int
-    offset: int
-    sub: Partition | None
+def _zonal_partition(dim: int, bounds: list[float], counts: list[int]) -> Partition:
+    """S^dim cut at the latitudes ``bounds`` into bands of ``counts`` cells.
 
-
-class ZonalPartition(Partition):
-    """Equal-area partition of S^dim into latitude bands of sub-cells.
-
-    The polar axis is the last coordinate; bands are ordered north to south
-    and shared latitude boundaries belong to the northern band, so every
-    point of the sphere has exactly one region index.
+    Every cell carries its exact area and diameter; a cell's representative
+    sits at its band's mid-latitude, and a polar cap is represented by its
+    pole.
     """
+    subs = {}
+    if dim >= 3:
+        subs = {c: equal_area_partition(dim - 1, c) for c in sorted(set(counts)) if c > 1}
+    n = sum(counts)
+    areas, diameters, reps = np.empty(n), np.empty(n), np.empty((n, dim + 1))
+    area = surface_area(dim)
 
-    def __init__(self, dim: int, bands: list):
-        self.dim = dim
-        self.bands = bands
-        n = sum(band.count for band in bands)
-        self.areas = np.empty(n)
-        self.diameters = np.empty(n)
-        self.reps = np.empty((n, dim + 1))
-        area = surface_area(dim)
+    def frac(t: float) -> float:
+        return float(betainc(dim / 2.0, dim / 2.0, (1.0 - t) / 2.0))
 
-        def frac(t: float) -> float:
-            return float(betainc(dim / 2.0, dim / 2.0, (1.0 - t) / 2.0))
-
-        for band in bands:
-            cells = slice(band.offset, band.offset + band.count)
-            band_area = area * (frac(band.t_lo) - frac(band.t_hi))
-            self.areas[cells] = band_area / band.count
-            if band.sub is None:
-                # one cell spanning the band: its sub-cell is all of S^(dim-1)
-                sub_diams, which, sub_reps = np.array([2.0]), 0, np.eye(1, dim)
+    offset, t_hi = 0, 1.0
+    for t_lo, count in zip(bounds, counts):
+        cells = slice(offset, offset + count)
+        band_area = area * (frac(t_lo) - frac(t_hi))
+        areas[cells] = band_area / count
+        if count == 1:
+            # one cell spanning the band: its sub-cell is all of S^(dim-1)
+            sub_diams, which, sub_reps = np.array([2.0]), 0, np.eye(1, dim)
+        else:
+            if dim == 2:
+                sub_diams, sub_reps = _arc_cells(count)
             else:
-                # the band diameter depends on a sub-cell only through its
-                # diameter, and sub-cells share a handful of distinct ones
-                sub_diams, which = np.unique(band.sub.diameters, return_inverse=True)
-                sub_reps = band.sub.reps
-            band_diams = [
-                math.sqrt(_band_diameter_sq(band.t_lo, band.t_hi, sub_d))
-                for sub_d in sub_diams.tolist()
-            ]
-            self.diameters[cells] = np.asarray(band_diams)[which]
-            t_mid = math.cos((math.acos(band.t_hi) + math.acos(band.t_lo)) / 2.0)
-            self.reps[cells, :dim] = math.sqrt(max(1.0 - t_mid * t_mid, 0.0)) * sub_reps
-            self.reps[cells, dim] = t_mid
-            if band.t_hi >= 1.0 or band.t_lo <= -1.0:
-                # a polar cap is represented by its pole
-                self.reps[cells] = 0.0
-                self.reps[cells, dim] = 1.0 if band.t_hi >= 1.0 else -1.0
-
-    def region_index(self, points) -> np.ndarray:
-        arr = np.atleast_2d(np.asarray(points, dtype=float))
-        if arr.shape[1] != self.dim + 1:
-            raise ValueError(
-                f"points have {arr.shape[1]} coordinates, expected {self.dim + 1}"
-            )
-        t = np.clip(arr[:, -1], -1.0, 1.0)
-        lower = np.array([b.t_lo for b in self.bands])
-        band_idx = np.searchsorted(-lower, -t, side="left")
-        np.clip(band_idx, 0, len(self.bands) - 1, out=band_idx)
-        out = np.empty(len(arr), dtype=np.int64)
-        for j, band in enumerate(self.bands):
-            mask = band_idx == j
-            if not np.any(mask):
-                continue
-            if band.sub is None:
-                out[mask] = band.offset
-                continue
-            xi = arr[mask, :-1]
-            nrm = np.linalg.norm(xi, axis=1)
-            safe = nrm > 1e-15
-            xi = np.where(safe[:, None], xi / np.where(safe, nrm, 1.0)[:, None], 0.0)
-            xi[~safe, 0] = 1.0
-            out[mask] = band.offset + band.sub.region_index(xi)
-        return out
+                sub_diams, sub_reps = subs[count].diameters, subs[count].reps
+            # the band diameter depends on a sub-cell only through its
+            # diameter, and sub-cells share a handful of distinct ones
+            sub_diams, which = np.unique(sub_diams, return_inverse=True)
+        band_diams = [
+            math.sqrt(_band_diameter_sq(t_lo, t_hi, sub_d)) for sub_d in sub_diams.tolist()
+        ]
+        diameters[cells] = np.asarray(band_diams)[which]
+        t_mid = math.cos((math.acos(t_hi) + math.acos(t_lo)) / 2.0)
+        reps[cells, :dim] = math.sqrt(max(1.0 - t_mid * t_mid, 0.0)) * sub_reps
+        reps[cells, dim] = t_mid
+        if t_hi >= 1.0 or t_lo <= -1.0:
+            reps[cells] = 0.0
+            reps[cells, dim] = 1.0 if t_hi >= 1.0 else -1.0
+        offset, t_hi = offset + count, t_lo
+    return Partition(dim, areas, diameters, reps, np.array(bounds), np.array(counts), subs)
 
 
 def _cap_height(dim: int, fraction: float) -> float:
@@ -354,15 +345,7 @@ def _collar_counts(dim: int, n: int) -> list[int]:
     return counts
 
 
-def _sub_partition(dim: int, count: int) -> Partition | None:
-    if count == 1:
-        return None
-    if dim - 1 == 1:
-        return CirclePartition(count)
-    return equal_area_partition(dim - 1, count)
-
-
-def equal_area_partition(dim: int, n: int) -> ZonalPartition:
+def equal_area_partition(dim: int, n: int) -> Partition:
     """Partition S^dim into n regions of equal area and small diameter.
 
     Diameters scale as n^(-1/dim); every region carries its exact area,
@@ -373,36 +356,13 @@ def equal_area_partition(dim: int, n: int) -> ZonalPartition:
     if n < 1:
         raise ValueError(f"need at least one region, got {n}")
     if n == 1:
-        return ZonalPartition(dim, [_Band(1.0, -1.0, 1, 0, None)])
+        return _zonal_partition(dim, [-1.0], [1])
     if n == 2:
-        return ZonalPartition(
-            dim, [_Band(1.0, 0.0, 1, 0, None), _Band(0.0, -1.0, 1, 1, None)]
-        )
+        return _zonal_partition(dim, [0.0, -1.0], [1, 1])
     counts = [1] + _collar_counts(dim, n) + [1]
     cum = np.cumsum(counts)
     bounds = [_cap_height(dim, cum[j] / n) for j in range(len(counts) - 1)]
-    bands = []
-    offset = 0
-    for j, count in enumerate(counts):
-        t_hi = 1.0 if j == 0 else bounds[j - 1]
-        t_lo = -1.0 if j == len(counts) - 1 else bounds[j]
-        bands.append(_Band(t_hi, t_lo, count, offset, _sub_partition(dim, count)))
-        offset += count
-    return ZonalPartition(dim, bands)
-
-
-class MatchedPartition(Partition):
-    """A partition whose representatives were replaced by scattering points."""
-
-    def __init__(self, base: Partition, reps: np.ndarray):
-        self.base = base
-        self.dim = base.dim
-        self.areas = base.areas
-        self.diameters = base.diameters
-        self.reps = reps
-
-    def region_index(self, points) -> np.ndarray:
-        return self.base.region_index(points)
+    return _zonal_partition(dim, bounds + [-1.0], counts)
 
 
 def match_partition_to_scattering(partition: Partition, scattering: Scattering):
@@ -427,7 +387,7 @@ def match_partition_to_scattering(partition: Partition, scattering: Scattering):
         )
     reps = np.empty_like(scattering.points)
     reps[idx] = scattering.points
-    return MatchedPartition(partition, reps)
+    return replace(partition, reps=reps)
 
 
 def _max_min_distance(samples: np.ndarray, scattering: Scattering) -> float:
@@ -509,40 +469,35 @@ class ReductionResult:
         return iter((self.scattering, self.partition))
 
 
-class MergedPartition(Partition):
-    """Cells of a base partition merged into groups, one kept point each.
+def _merged_partition(base: Partition, groups: list[list[int]], reps: np.ndarray) -> Partition:
+    """``base`` with its cells merged into ``groups``, one kept point each.
 
     Region areas are exact sums; diameters are certified upper bounds via
     the triangle inequality through cell representatives, capped at 2.
     """
-
-    def __init__(self, base: Partition, groups: list[list[int]], reps: np.ndarray):
-        self.base = base
-        self.dim = base.dim
-        self.reps = reps
-        self._assign = np.full(base.size, -1, dtype=np.int64)
-        self._assign[np.concatenate(groups)] = np.repeat(
-            np.arange(len(groups)), [len(cells) for cells in groups]
-        )
-        heads = [cells[0] for cells in groups]
-        self.areas, self.diameters = base.areas[heads], base.diameters[heads]
-        areas, diams = base.areas.tolist(), base.diameters.tolist()
-        for g, cells in enumerate(groups):
-            if len(cells) == 1:
-                continue
-            self.areas[g] = sum(areas[c] for c in cells)
-            diam = 0.0
-            for a in cells:
-                diam = max(diam, diams[a])
-                for b in cells:
-                    if b <= a:
-                        continue
-                    gap = float(np.linalg.norm(base.reps[a] - base.reps[b]))
-                    diam = max(diam, diams[a] + gap + diams[b])
-            self.diameters[g] = min(diam, 2.0)
-
-    def region_index(self, points) -> np.ndarray:
-        return self._assign[self.base.region_index(points)]
+    assign = np.full(base.size, -1, dtype=np.int64)
+    assign[np.concatenate(groups)] = np.repeat(
+        np.arange(len(groups)), [len(cells) for cells in groups]
+    )
+    heads = [cells[0] for cells in groups]
+    merged_areas, merged_diams = base.areas[heads], base.diameters[heads]
+    areas, diams = base.areas.tolist(), base.diameters.tolist()
+    for g, cells in enumerate(groups):
+        if len(cells) == 1:
+            continue
+        merged_areas[g] = sum(areas[c] for c in cells)
+        diam = 0.0
+        for a in cells:
+            diam = max(diam, diams[a])
+            for b in cells:
+                if b <= a:
+                    continue
+                gap = float(np.linalg.norm(base.reps[a] - base.reps[b]))
+                diam = max(diam, diams[a] + gap + diams[b])
+        merged_diams[g] = min(diam, 2.0)
+    return replace(
+        base, areas=merged_areas, diameters=merged_diams, reps=reps, groups=assign
+    )
 
 
 def reduce_scattering(
@@ -589,7 +544,7 @@ def _reduce_on_grid(
     hosts = idx[_nearest_points(scattering, base.reps[empty])]
     for c, g in zip(empty.tolist(), np.searchsorted(occupied, hosts).tolist()):
         groups[g].append(c)
-    merged = MergedPartition(base, groups, kept_points)
+    merged = _merged_partition(base, groups, kept_points)
     reduced = Scattering(kept_points, label=scattering.label)
     est_red = MeshNormEstimate(
         _max_min_distance(samples, reduced), est_orig.resolution_error

@@ -2,10 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from spherekh import cli
 from spherekh.cli import main, parse_args
 from spherekh.fileio import write_field_json, write_measure_csv, write_points_csv
 from spherekh.geom import random_points
@@ -196,6 +198,15 @@ _MALFORMED = [
     pytest.param(
         "field", '{"charges": [{"location": [1.5, 0, 0], "strength": 1}]}', id="field-outside"
     ),
+    pytest.param("points", '{"points": [[1, 0, 0], [0, 1.1, 0]]}', id="points-off-sphere"),
+    pytest.param(
+        "points",
+        '{"points": [[0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 0, 0]]}',
+        id="points-duplicate-1-3",
+    ),
+    pytest.param(
+        "points", '{"points": [[1, 0, 0], [1, 0, 0], [0, 0, 1]]}', id="points-duplicate-0-1"
+    ),
 ]
 
 
@@ -318,6 +329,15 @@ def test_thm4b_success_and_gate_failure(tmp_path, capsys):
     assert doc["failure"] == "GateConditionError"
     assert "mesh norm too large" in doc["detail"]
     capsys.readouterr()
+
+
+def test_thm4b_exits_1_when_not_within_epsilon(tmp_path, monkeypatch):
+    report = SimpleNamespace(within_epsilon=False, to_dict=lambda: {"within_epsilon": False})
+    monkeypatch.setattr(cli, "reduction_pipeline", lambda *args, **kwargs: report)
+    out = tmp_path / "t4b.json"
+    code = main(["thm4b", "--n", "8", "--epsilon", "1", "--mu-degree", "4", "--out", str(out)])
+    assert code == 1
+    assert json.loads(out.read_text())["result"] == {"within_epsilon": False}
 
 
 def test_partition_stdout(capsys):

@@ -9,9 +9,9 @@ from scipy.special import betainc
 
 from spherekh.fileio import json_dumps, partition_payload
 from spherekh.geom import (
-    CirclePartition,
     PartitionMatchError,
     Scattering,
+    _arc_index,
     _band_diameter_sq,
     _max_min_distance,
     _nearest_points,
@@ -142,17 +142,16 @@ def test_representatives_sit_in_their_own_region():
 
 def test_boundary_points_claimed_once_northern_and_lowest():
     part = equal_area_partition(2, 4)
-    t = part.bands[0].t_lo  # cap boundary, exactly representable
+    t = part.bounds[0]  # cap boundary, exactly representable
     s = math.sqrt(1 - t * t)
     assert part.region_index(np.array([[s, 0.0, t]]))[0] == 0
     # collar/south-cap boundary goes to the collar (northern band)
-    t2 = part.bands[1].t_lo
+    t2 = part.bounds[1]
     s2 = math.sqrt(1 - t2 * t2)
     assert part.region_index(np.array([[s2, 0.0, t2]]))[0] in (1, 2)
     # azimuth seam at phi = pi belongs to the lower-index arc
-    arcs = CirclePartition(2)
-    assert arcs.region_index(np.array([[-1.0, 0.0]]))[0] == 0
-    assert arcs.region_index(np.array([[1.0, 0.0]]))[0] == 0
+    assert _arc_index(np.array([[-1.0, 0.0]]), 2)[0] == 0
+    assert _arc_index(np.array([[1.0, 0.0]]), 2)[0] == 0
 
 
 def test_poles_belong_to_caps():
@@ -234,7 +233,7 @@ def test_max_min_distance_matches_dot_product_search(dim, n):
 def test_reduce_hosts_match_argmax_rule():
     sc = Scattering(random_points(2, 2000, np.random.default_rng(37)))
     merged = reduce_scattering(sc).partition
-    base = merged.base
+    base = equal_area_partition(2, len(merged.groups))
     idx = base.region_index(sc.points)
     empty = np.setdiff1d(np.arange(base.size), idx)
     assert len(empty) > 100
@@ -352,6 +351,19 @@ def test_equal_area_partition_rejects_bad_input():
         equal_area_partition(2, 0)
 
 
+def _reference_arcs(count):
+    width = 2.0 * math.pi / count
+    diam = 2.0 * math.sin(min(width, math.pi) / 2.0)
+    mids = (np.arange(count) + 0.5) * width
+    return [(width, diam, np.array([math.cos(a), math.sin(a)])) for a in mids]
+
+
+def _bands(part):
+    """(upper latitude, lower latitude, cell count) of each band of ``part``."""
+    lows = part.bounds.tolist()
+    return list(zip([1.0] + lows[:-1], lows, part.counts.tolist()))
+
+
 def _reference_cells(part):
     """(area, diameter, representative) of every cell, built one at a time.
 
@@ -359,10 +371,6 @@ def _reference_cells(part):
     as its oracle: it takes only the band layout from ``part`` and the
     scalar band-diameter formula from the library.
     """
-    if isinstance(part, CirclePartition):
-        diam = 2.0 * math.sin(min(part.width, math.pi) / 2.0)
-        mids = (np.arange(part.count) + 0.5) * part.width
-        return [(part.width, diam, np.array([math.cos(a), math.sin(a)])) for a in mids]
     dim = part.dim
     area = surface_area(dim)
 
@@ -374,16 +382,16 @@ def _reference_cells(part):
         return np.concatenate([s * xi, [t]])
 
     cells = []
-    for band in part.bands:
-        band_area = area * (frac(band.t_lo) - frac(band.t_hi))
-        cell_area = band_area / band.count
-        t_mid = math.cos((math.acos(band.t_hi) + math.acos(band.t_lo)) / 2.0)
-        if band.sub is None:
-            diam = math.sqrt(_band_diameter_sq(band.t_lo, band.t_hi, 2.0))
+    for t_hi, t_lo, count in _bands(part):
+        band_area = area * (frac(t_lo) - frac(t_hi))
+        cell_area = band_area / count
+        t_mid = math.cos((math.acos(t_hi) + math.acos(t_lo)) / 2.0)
+        if count == 1:
+            diam = math.sqrt(_band_diameter_sq(t_lo, t_hi, 2.0))
             rep = np.zeros(dim + 1)
-            if band.t_hi >= 1.0:
+            if t_hi >= 1.0:
                 rep[dim] = 1.0
-            elif band.t_lo <= -1.0:
+            elif t_lo <= -1.0:
                 rep[dim] = -1.0
             else:
                 xi = np.zeros(dim)
@@ -391,8 +399,12 @@ def _reference_cells(part):
                 rep = embed(xi, t_mid)
             cells.append((cell_area, diam, rep))
         else:
-            for _, sub_diam, sub_rep in _reference_cells(band.sub):
-                diam = math.sqrt(_band_diameter_sq(band.t_lo, band.t_hi, sub_diam))
+            if dim == 2:
+                sub_cells = _reference_arcs(count)
+            else:
+                sub_cells = _reference_cells(equal_area_partition(dim - 1, count))
+            for _, sub_diam, sub_rep in sub_cells:
+                diam = math.sqrt(_band_diameter_sq(t_lo, t_hi, sub_diam))
                 cells.append((cell_area, diam, embed(sub_rep, t_mid)))
     return cells
 
@@ -420,7 +432,7 @@ def test_partition_arrays_match_per_cell_reference(dim, n):
 def test_merged_partition_matches_pairwise_reference():
     sc = Scattering(random_points(2, 1000, np.random.default_rng(29)))
     merged = reduce_scattering(sc).partition
-    base = merged.base
+    base = equal_area_partition(2, len(merged.groups))
     # every base representative lies in its own cell, so this is the
     # cell -> group map; a group's kept point lies in its first cell
     group_of = merged.region_index(base.reps)
@@ -444,3 +456,98 @@ def test_merged_partition_matches_pairwise_reference():
         assert merged.areas[g] == area
         assert merged.diameters[g] == min(diam, 2.0)
     assert multi > 0
+
+
+def _reference_region_index(part, points):
+    """Zonal cell of each point, looked up band by band and recursively.
+
+    This is the per-band lookup that the array-held layout replaced, kept
+    as its oracle.  A point belongs to the first band, north to south,
+    whose lower latitude it reaches; its direction within the band picks
+    the arc (S^2) or the cell of the band's own partition of S^(dim-1).
+    A shared arc endpoint belongs to the lower-index arc.
+    """
+    arr = np.atleast_2d(points)
+    t = np.clip(arr[:, -1], -1.0, 1.0)
+    band_of = np.argmax(t[:, None] >= part.bounds[None, :], axis=1)
+    out = np.empty(len(arr), dtype=np.int64)
+    offset = 0
+    for j, (_, _, count) in enumerate(_bands(part)):
+        mask = band_of == j
+        if count == 1:
+            out[mask] = offset
+        elif np.any(mask):
+            xi = arr[mask, :-1]
+            nrm = np.linalg.norm(xi, axis=1)
+            safe = nrm > 1e-15
+            xi = np.where(safe[:, None], xi / np.where(safe, nrm, 1.0)[:, None], 0.0)
+            xi[~safe, 0] = 1.0
+            if part.dim == 2:
+                width = 2.0 * math.pi / count
+                q = np.mod(np.arctan2(xi[:, 1], xi[:, 0]), 2.0 * math.pi) / width
+                k = np.floor(q).astype(np.int64)
+                k[(q == k) & (k > 0)] -= 1
+                cell = np.clip(k, 0, count - 1)
+            else:
+                sub = equal_area_partition(part.dim - 1, count)
+                cell = _reference_region_index(sub, xi)
+            out[mask] = offset + cell
+        offset += count
+    return out
+
+
+def _edge_points(part):
+    """Points on every band boundary and cell seam of ``part``.
+
+    Each band contributes its two boundary latitudes and its mid-latitude,
+    crossed with the directions on the seams of its cells: the arc
+    endpoints (angle 0 and pi among them) on S^2, the edge points of the
+    band's own partition for dim >= 3.  The poles are the latitudes +-1.
+    """
+    rows = []
+    for t_hi, t_lo, count in _bands(part):
+        if count == 1:
+            xis = np.eye(part.dim)[:1] * np.array([[1.0], [-1.0]])
+        elif part.dim == 2:
+            angles = np.concatenate([2.0 * math.pi * np.arange(count) / count, [math.pi]])
+            xis = np.column_stack([np.cos(angles), np.sin(angles)])
+        else:
+            xis = _edge_points(equal_area_partition(part.dim - 1, count))
+        t_mid = math.cos((math.acos(t_hi) + math.acos(t_lo)) / 2.0)
+        for t in (t_hi, t_lo, t_mid):
+            s = math.sqrt(max(1.0 - t * t, 0.0))
+            rows.append(np.column_stack([s * xis, np.full(len(xis), t)]))
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize(
+    "dim, n",
+    [(2, 1), (2, 2), (2, 7), (2, 4000), (3, 3), (3, 600), (4, 2), (4, 200), (5, 100)],
+)
+def test_region_index_matches_per_band_reference(dim, n):
+    part = equal_area_partition(dim, n)
+    poles = np.zeros((2, dim + 1))
+    poles[:, dim] = [1.0, -1.0]
+    points = np.vstack(
+        [random_points(dim, 5000, np.random.default_rng(dim * n)),
+         _edge_points(part), poles, part.reps]
+    )
+    assert np.array_equal(part.region_index(points), _reference_region_index(part, points))
+
+
+def test_merged_region_index_matches_per_band_reference():
+    sc = Scattering(random_points(2, 1500, np.random.default_rng(47)))
+    merged = reduce_scattering(sc).partition
+    assert merged.groups is not None and merged.size < len(merged.groups)
+    points = np.vstack([random_points(2, 5000, 48), _edge_points(merged), merged.reps])
+    reference = merged.groups[_reference_region_index(merged, points)]
+    assert np.array_equal(merged.region_index(points), reference)
+    assert np.array_equal(merged.region_index(merged.reps), np.arange(merged.size))
+
+
+@pytest.mark.parametrize("first, second", [(1, 3), (0, 1)])
+def test_coincident_points_name_the_pair(first, second):
+    pts = np.array([[0.0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1]])
+    pts[[first, second]] = [1.0, 0, 0]
+    with pytest.raises(ValueError, match=f"points {first} and {second} coincide"):
+        Scattering(pts)
