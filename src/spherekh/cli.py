@@ -30,7 +30,7 @@ from .geom import (
 )
 from .measures import ShellConfig, sphere_surface_quadrature
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _parse_exponent(text: str) -> float:

@@ -342,9 +342,15 @@ def reduction_pipeline(
     GateConditionError explains the failure.  The scattering is then
     reduced to a matched partition, the quotient
     q = (d-1) * mass * partition-norm / epsilon must stay below 1, and the
-    admissible radii run up to 1 - q^(1/(d+1)).  Eight radii strictly
-    inside (r0, upper) are probed; the report records each measured sup
-    and whether all stayed within epsilon.
+    admissible radii run up to 1 - q^(1/(d+1)).
+
+    One radius is probed: rho = r0 + 8/9 (upper - r0), where the bound is
+    taken.  Every atom of the rule-error measure lies on S^d, so its
+    potential is harmonic in the open unit ball; by the maximum principle
+    the max of its modulus over |x| <= rho is reached on |x| = rho, and it
+    does not decrease as rho grows.  The sup at rho therefore covers every
+    radius of the window up to rho.  The report records that radius, its
+    measured sup and whether it stayed within epsilon.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -381,16 +387,13 @@ def reduction_pipeline(
             f"empty admissible radius window: upper end {r_upper:.6g} <= "
             f"r0 = {r0:.6g} (quotient {window_quotient:.6g})"
         )
-    radii = r0 + (r_upper - r0) * np.arange(1, 9) / 9.0
+    # 8/9 of the window, so reports keep the radius and bound of schema 1
+    radius = r0 + (r_upper - r0) * 8 / 9.0
     sigma = _rule_error_measure(mu, reduction.partition)
     if probe is None:
         probe = sphere_surface_quadrature(d, 40)
-    sups = tuple(
-        float(np.max(np.abs(potential_values(sigma, r * probe.nodes))))
-        for r in radii
-    )
-    measured = max(sups)
-    bound = (d - 1) * mu.mass * pnorm / (1.0 - radii[-1]) ** (d + 1)
+    measured = float(np.max(np.abs(potential_values(sigma, radius * probe.nodes))))
+    bound = (d - 1) * mu.mass * pnorm / (1.0 - radius) ** (d + 1)
     return PartitionSupReport(
         measured_sup=measured,
         bound=bound,
@@ -398,8 +401,8 @@ def reduction_pipeline(
         mesh_norm_interval=(estimate.lower, estimate.upper),
         epsilon=epsilon,
         r_admissible_upper=r_upper,
-        radii=tuple(float(r) for r in radii),
-        sup_values=sups,
+        radii=(radius,),
+        sup_values=(measured,),
         gate_quotient=gate_quotient,
         window_quotient=window_quotient,
         within_epsilon=bool(measured <= epsilon),

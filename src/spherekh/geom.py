@@ -213,14 +213,16 @@ def representatives(partition: Partition) -> np.ndarray:
     return partition.reps.copy()
 
 
-def _arc_cells(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diameters and midpoints of S^1 split into ``count`` equal arcs."""
+def _arc_cells(count: int) -> tuple[float, np.ndarray]:
+    """The diameter shared by S^1's ``count`` equal arcs, and their midpoints."""
     width = 2.0 * math.pi / count
-    diameters = np.full(count, 2.0 * math.sin(min(width, math.pi) / 2.0))
+    angles = (np.arange(count) + 0.5) * width
     # math.cos/sin rather than their numpy ufuncs, which may round
     # differently and would change exported representatives
-    mids = ((np.arange(count) + 0.5) * width).tolist()
-    return diameters, np.column_stack([list(map(math.cos, mids)), list(map(math.sin, mids))])
+    mids = np.empty((count, 2))
+    mids[:, 0] = np.fromiter(map(math.cos, memoryview(angles)), float, count)
+    mids[:, 1] = np.fromiter(map(math.sin, memoryview(angles)), float, count)
+    return 2.0 * math.sin(min(width, math.pi) / 2.0), mids
 
 
 def _arc_index(xy: np.ndarray, counts) -> np.ndarray:
@@ -288,14 +290,15 @@ def _zonal_partition(dim: int, bounds: list[float], counts: list[int]) -> Partit
         if count == 1:
             # one cell spanning the band: its sub-cell is all of S^(dim-1)
             sub_diams, which, sub_reps = np.array([2.0]), 0, np.eye(1, dim)
+        elif dim == 2:
+            # all arcs of a band share one diameter
+            arc_diam, sub_reps = _arc_cells(count)
+            sub_diams, which = np.array([arc_diam]), 0
         else:
-            if dim == 2:
-                sub_diams, sub_reps = _arc_cells(count)
-            else:
-                sub_diams, sub_reps = subs[count].diameters, subs[count].reps
             # the band diameter depends on a sub-cell only through its
             # diameter, and sub-cells share a handful of distinct ones
-            sub_diams, which = np.unique(sub_diams, return_inverse=True)
+            sub_diams, which = np.unique(subs[count].diameters, return_inverse=True)
+            sub_reps = subs[count].reps
         band_diams = [
             math.sqrt(_band_diameter_sq(t_lo, t_hi, sub_d)) for sub_d in sub_diams.tolist()
         ]
@@ -432,16 +435,19 @@ class MeshNormEstimate:
 
 def _sampled_mesh_norm(
     scattering: Scattering, resolution: int | None
-) -> tuple[np.ndarray, MeshNormEstimate]:
-    """The sample grid of ``mesh_norm`` and the estimate taken on it."""
+) -> tuple[tuple, MeshNormEstimate]:
+    """The sample grid of ``mesh_norm`` and the estimate taken on it.
+
+    The grid comes back as (samples, distance, nearest): each sample with
+    its distance to the scattering and the index of the point attaining it.
+    """
     res = int(resolution) if resolution is not None else 16 * len(scattering)
     if res < 1:
         raise ValueError("resolution must be positive")
     grid = equal_area_partition(scattering.dim, res)
-    estimate = MeshNormEstimate(
-        _max_min_distance(grid.reps, scattering), partition_norm(grid)
-    )
-    return grid.reps, estimate
+    dist, nearest = scattering.tree.query(grid.reps, workers=_thread_count())
+    estimate = MeshNormEstimate(float(dist.max()), partition_norm(grid))
+    return (grid.reps, dist, nearest), estimate
 
 
 def mesh_norm(scattering: Scattering, resolution: int | None = None) -> MeshNormEstimate:
@@ -469,34 +475,37 @@ class ReductionResult:
         return iter((self.scattering, self.partition))
 
 
-def _merged_partition(base: Partition, groups: list[list[int]], reps: np.ndarray) -> Partition:
-    """``base`` with its cells merged into ``groups``, one kept point each.
+def _merged_partition(
+    base: Partition, groups: np.ndarray, heads: np.ndarray, reps: np.ndarray
+) -> Partition:
+    """``base`` with cell c merged into group ``groups[c]``, one kept point each.
 
-    Region areas are exact sums; diameters are certified upper bounds via
-    the triangle inequality through cell representatives, capped at 2.
+    Group g holds the kept point ``reps[g]`` in its head cell ``heads[g]``.
+    Region areas are exact sums, head cell first and then the others in
+    index order; diameters are certified upper bounds via the triangle
+    inequality through cell representatives, capped at 2.
     """
-    assign = np.full(base.size, -1, dtype=np.int64)
-    assign[np.concatenate(groups)] = np.repeat(
-        np.arange(len(groups)), [len(cells) for cells in groups]
-    )
-    heads = [cells[0] for cells in groups]
-    merged_areas, merged_diams = base.areas[heads], base.diameters[heads]
-    areas, diams = base.areas.tolist(), base.diameters.tolist()
-    for g, cells in enumerate(groups):
-        if len(cells) == 1:
-            continue
-        merged_areas[g] = sum(areas[c] for c in cells)
-        diam = 0.0
-        for a in cells:
-            diam = max(diam, diams[a])
-            for b in cells:
-                if b <= a:
-                    continue
-                gap = float(np.linalg.norm(base.reps[a] - base.reps[b]))
-                diam = max(diam, diams[a] + gap + diams[b])
-        merged_diams[g] = min(diam, 2.0)
+    order = np.concatenate([heads, np.setdiff1d(np.arange(base.size), heads)])
+    areas = np.zeros(len(heads))
+    # ufunc.at adds in index order, so each group's sum runs as a loop would
+    np.add.at(areas, groups[order], base.areas[order])
+    sizes = np.bincount(groups, minlength=len(heads))
+    members = np.argsort(groups, kind="stable")  # by group, then by cell index
+    starts = np.cumsum(sizes) - sizes
+    diams = base.diameters[heads]
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        owners = np.flatnonzero(sizes == size)
+        cells = members[starts[owners][:, None] + np.arange(size)]
+        i, j = np.triu_indices(size, 1)
+        a, b = cells[:, i], cells[:, j]
+        diff = base.reps[a] - base.reps[b]
+        # rounds as np.linalg.norm of each difference does
+        gap = np.sqrt(np.vecdot(diff, diff))
+        # a pair bound is at least either cell's diameter, so the pairs' max
+        # is the group's bound
+        diams[owners] = ((base.diameters[a] + gap) + base.diameters[b]).max(axis=1)
     return replace(
-        base, areas=merged_areas, diameters=merged_diams, reps=reps, groups=assign
+        base, areas=areas, diameters=np.minimum(diams, 2.0), reps=reps, groups=groups
     )
 
 
@@ -515,9 +524,9 @@ def reduce_scattering(
 
 
 def _reduce_on_grid(
-    scattering: Scattering, samples: np.ndarray, est_orig: MeshNormEstimate
+    scattering: Scattering, samples: tuple, est_orig: MeshNormEstimate
 ) -> ReductionResult:
-    """``reduce_scattering`` given its sample grid and the original estimate."""
+    """``reduce_scattering`` on the grid and estimate of ``_sampled_mesh_norm``."""
     dim = scattering.dim
     pts = scattering.points
     target = 2.0 * est_orig.upper
@@ -539,16 +548,23 @@ def _reduce_on_grid(
     # point of each, which is the kept representative
     occupied, first = np.unique(idx, return_index=True)
     kept_points = pts[first]
-    groups: list[list[int]] = [[int(c)] for c in occupied]
+    groups = np.empty(base.size, dtype=np.int64)
+    groups[occupied] = np.arange(len(occupied))
+    # an empty cell joins the group of the cell holding its nearest point
     empty = np.setdiff1d(np.arange(base.size), occupied)
-    hosts = idx[_nearest_points(scattering, base.reps[empty])]
-    for c, g in zip(empty.tolist(), np.searchsorted(occupied, hosts).tolist()):
-        groups[g].append(c)
-    merged = _merged_partition(base, groups, kept_points)
+    groups[empty] = groups[idx[_nearest_points(scattering, base.reps[empty])]]
+    merged = _merged_partition(base, groups, occupied, kept_points)
     reduced = Scattering(kept_points, label=scattering.label)
-    est_red = MeshNormEstimate(
-        _max_min_distance(samples, reduced), est_orig.resolution_error
-    )
+    # the reduced set is a subset, so a sample whose nearest point was kept
+    # keeps its distance; only the orphaned ones need the reduced tree
+    sample_points, dist, nearest = samples
+    kept = np.zeros(len(pts), dtype=bool)
+    kept[first] = True
+    orphaned = ~kept[nearest]
+    value = float(np.max(dist, where=~orphaned, initial=0.0))
+    if np.any(orphaned):
+        value = max(value, _max_min_distance(sample_points[orphaned], reduced))
+    est_red = MeshNormEstimate(value, est_orig.resolution_error)
     pnorm = partition_norm(merged)
     ratio = pnorm / max(est_orig.value, 1e-300)
     reference = 8.0 * dim * math.sqrt(2.0 * dim * (dim + 1))

@@ -12,7 +12,7 @@ order sum into Legendre evaluations at pole products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -143,7 +143,8 @@ class FieldExpansion:
     strength * r^(1-d) * (rho/r)^l * (d-1) * area / (2l + d - 1); the field
     value at r*zeta is the double sum of coeffs * (N_l/area) * P_l(pole.zeta).
     The recorded tail bound certifies the truncation degree; the charges are
-    kept for the closed form of D.
+    kept for the closed form of D.  Sobolev norms are kept per parameter
+    set once computed, so the arrays are not to be changed after that.
     """
 
     poles: np.ndarray
@@ -154,6 +155,7 @@ class FieldExpansion:
     tail_bound: float
     locations: np.ndarray
     strengths: np.ndarray
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
@@ -264,17 +266,20 @@ def sobolev_norm(expansion: FieldExpansion, sp: SobolevParams) -> float:
     """Weighted coefficient norm of the shell restriction.
 
     The order sums collapse through the addition formula into pairwise
-    Legendre values at pole dot products.
+    Legendre values at pole dot products.  The norm is computed once per
+    expansion and parameter set, and kept on the expansion.
     """
     if sp.dim != expansion.dim:
         raise ValueError("dimension mismatch between expansion and parameters")
-    d, L, poles = expansion.dim, expansion.truncation, expansion.poles
-    table = legendre_table(d, L, poles @ poles.T)
-    # degree l contributes a_l . (table[l] @ a_l), a_l the l-th coefficient column
-    cols = expansion.coeffs.T
-    forms = np.sum(cols * np.einsum("lkj,lj->lk", table, cols), axis=1)
-    total = float(forms @ (sp.weights(L) ** 2 * _degree_weights(d, L)))
-    return math.sqrt(max(total, 0.0))
+    if sp not in expansion._norms:
+        d, L, poles = expansion.dim, expansion.truncation, expansion.poles
+        table = legendre_table(d, L, poles @ poles.T)
+        # degree l contributes a_l . (table[l] @ a_l), a_l the l-th coefficient column
+        cols = expansion.coeffs.T
+        forms = np.sum(cols * np.einsum("lkj,lj->lk", table, cols), axis=1)
+        total = float(forms @ (sp.weights(L) ** 2 * _degree_weights(d, L)))
+        expansion._norms[sp] = math.sqrt(max(total, 0.0))
+    return expansion._norms[sp]
 
 
 @dataclass(frozen=True)

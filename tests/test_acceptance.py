@@ -201,7 +201,7 @@ def test_criterion_5_pipeline_and_gate_exit_code(tmp_path, announce):
     announce(
         5,
         ok,
-        f"pipeline at n=1024, epsilon={epsilon:.1f}: all 8 radii within "
+        f"pipeline at n=1024, epsilon={epsilon:.1f}: the top radius is within "
         f"epsilon (max sup {max(report.sup_values):.3e}); gate failure "
         f"exits {exit_code}",
     )

@@ -81,7 +81,7 @@ def test_identity_run_and_exit_codes(inputs):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["result"]["report"] == "identity"
     assert doc["result"]["relative"] <= 1e-10
     assert set(doc["inputs"]) == {"field", "sigma"}
@@ -317,7 +317,7 @@ def test_thm4b_success_and_gate_failure(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["result"]["within_epsilon"] is True
-    assert len(doc["result"]["radii"]) == 8
+    assert len(doc["result"]["radii"]) == 1
 
     fail = tmp_path / "fail.json"
     code = main(

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from spherekh.discrepancy import (
     AdmissibleWindowError,
     GateConditionError,
+    _rule_error_measure,
     difference_measure,
     duality_bound,
     kh_identity,
@@ -22,6 +23,7 @@ from spherekh.geom import (
     match_partition_to_scattering,
     mesh_norm,
     random_points,
+    reduce_scattering,
     representatives,
 )
 from spherekh.harmonic import make_field, random_field
@@ -29,6 +31,7 @@ from spherekh.measures import (
     DiscreteSignedMeasure,
     QuadratureMeasure,
     ShellConfig,
+    potential_values,
     sphere_surface_quadrature,
 )
 
@@ -284,11 +287,65 @@ def test_pipeline_certifies_window():
     rep = reduction_pipeline(sc, mu, eps, 0.3)
     assert rep.gate_quotient == pytest.approx(0.5, rel=1e-12)
     assert rep.within_epsilon
-    assert len(rep.radii) == 8
+    assert len(rep.radii) == 1
     assert rep.radii[0] > 0.3 and rep.radii[-1] < rep.r_admissible_upper
     assert max(rep.sup_values) == rep.measured_sup
     assert rep.measured_sup <= eps
     assert rep.mesh_norm_interval[0] <= rep.mesh_norm_interval[1]
+
+
+def _eight_radius_pipeline(scattering, mu, epsilon, r0):
+    """The pipeline's numbers as the eight-radius probe computed them.
+
+    This is the radius loop that the single top radius replaced, kept as
+    its oracle, on top of the library's reduction.
+    """
+    d = scattering.dim
+    estimate = mesh_norm(scattering)
+    reduction = reduce_scattering(scattering)
+    pnorm = reduction.partition_norm
+    window_quotient = (d - 1) * mu.mass * pnorm / epsilon
+    r_upper = 1.0 - window_quotient ** (1.0 / (d + 1))
+    radii = r0 + (r_upper - r0) * np.arange(1, 9) / 9.0
+    sigma = _rule_error_measure(mu, reduction.partition)
+    probe = sphere_surface_quadrature(d, 40)
+    sups = tuple(
+        float(np.max(np.abs(potential_values(sigma, r * probe.nodes)))) for r in radii
+    )
+    return {
+        "measured_sup": max(sups),
+        "bound": (d - 1) * mu.mass * pnorm / (1.0 - radii[-1]) ** (d + 1),
+        "partition_norm": pnorm,
+        "mesh_norm_interval": (estimate.lower, estimate.upper),
+        "r_admissible_upper": r_upper,
+        "top_radius": float(radii[-1]),
+        "sups": sups,
+    }
+
+
+@pytest.mark.parametrize(
+    "d, n, seed, mu_degree",
+    [(2, 1000, 5, 60), (2, 1000, 7, 60), (2, 2800, 5, 60), (2, 2800, 7, 60),
+     (3, 500, 5, 20), (2, 0, 0, 60)],
+)
+def test_one_radius_matches_eight_radius_max(d, n, seed, mu_degree):
+    if n:
+        scattering = Scattering(random_points(d, n, np.random.default_rng(seed)))
+    else:
+        scattering = Scattering(representatives(equal_area_partition(d, 512)))
+    mu = sphere_surface_quadrature(d, mu_degree)
+    gate_c = 8 * d * math.sqrt(2 * d * (d + 1))
+    eps = 2.0 * (d - 1) * gate_c * mu.mass * mesh_norm(scattering).upper
+    rep = reduction_pipeline(scattering, mu, eps, 0.3)
+    old = _eight_radius_pipeline(scattering, mu, eps, 0.3)
+    assert rep.measured_sup == old["measured_sup"]
+    assert rep.radii == (old["top_radius"],)
+    assert rep.sup_values == (rep.measured_sup,)
+    for key in ("bound", "partition_norm", "mesh_norm_interval", "r_admissible_upper"):
+        assert getattr(rep, key) == old[key]
+    assert rep.within_epsilon == (old["measured_sup"] <= eps)
+    # the maximum principle: the sampled sup grows with the radius
+    assert list(old["sups"]) == sorted(old["sups"])
 
 
 def test_pipeline_gate_failure_single_point():

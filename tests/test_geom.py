@@ -429,21 +429,24 @@ def test_partition_arrays_match_per_cell_reference(dim, n):
     assert json_dumps(partition_payload(part)) == json_dumps(reference)
 
 
-def test_merged_partition_matches_pairwise_reference():
-    sc = Scattering(random_points(2, 1000, np.random.default_rng(29)))
+def _check_merged_against_pairwise(sc):
+    """Check the merged cells of ``reduce_scattering(sc)`` pair by pair.
+
+    Returns the largest number of base cells in one merged cell.
+    """
     merged = reduce_scattering(sc).partition
-    base = equal_area_partition(2, len(merged.groups))
+    base = equal_area_partition(sc.dim, len(merged.groups))
     # every base representative lies in its own cell, so this is the
     # cell -> group map; a group's kept point lies in its first cell
     group_of = merged.region_index(base.reps)
     heads = base.region_index(merged.reps)
     areas = base.areas.tolist()
     diams = base.diameters.tolist()
-    multi = 0
+    largest = 0
     for g in range(merged.size):
         head = int(heads[g])
         cells = [head] + [int(c) for c in np.nonzero(group_of == g)[0] if c != head]
-        multi += len(cells) > 1
+        largest = max(largest, len(cells))
         area = sum(areas[c] for c in cells)
         diam = 0.0
         for a in cells:
@@ -455,7 +458,45 @@ def test_merged_partition_matches_pairwise_reference():
                 diam = max(diam, diams[a] + gap + diams[b])
         assert merged.areas[g] == area
         assert merged.diameters[g] == min(diam, 2.0)
-    assert multi > 0
+    return largest
+
+
+def test_merged_partition_matches_pairwise_reference():
+    sc = Scattering(random_points(2, 1000, np.random.default_rng(29)))
+    assert _check_merged_against_pairwise(sc) > 1
+
+
+@pytest.mark.parametrize("case", ["s3", "clustered"])
+def test_merged_partition_matches_pairwise_reference_beyond_s2(case):
+    rng = np.random.default_rng(31)
+    if case == "s3":
+        sc = Scattering(random_points(3, 800, rng))
+        assert _check_merged_against_pairwise(sc) > 1
+    else:
+        # 600 points in 12 tight clusters leave most cells empty
+        centers = random_points(2, 12, rng)
+        pts = centers[rng.integers(0, 12, 600)] + 0.05 * rng.normal(size=(600, 3))
+        sc = Scattering(pts / np.linalg.norm(pts, axis=1)[:, None])
+        assert _check_merged_against_pairwise(sc) >= 3
+
+
+@pytest.mark.parametrize(
+    "dim, n, seed", [(2, 3000, 1), (2, 1, 0), (3, 1500, 2), (4, 600, 3), (2, 0, 0)]
+)
+def test_reduced_mesh_norm_matches_full_search(dim, n, seed):
+    if n:
+        sc = Scattering(random_points(dim, n, np.random.default_rng(seed)))
+    else:
+        # a separated scattering: every point is kept
+        sc = Scattering(representatives(equal_area_partition(dim, 256)))
+    result = reduce_scattering(sc)
+    samples = equal_area_partition(dim, 16 * len(sc)).reps
+    assert result.mesh_norm_reduced.value == _max_min_distance(samples, result.scattering)
+    assert result.mesh_norm_original.value == _max_min_distance(samples, sc)
+    if n > 1:
+        assert len(result.scattering) < len(sc)
+    else:
+        assert len(result.scattering) == len(sc)
 
 
 def _reference_region_index(part, points):

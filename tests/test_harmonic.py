@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spherekh import harmonic
 from spherekh.geom import random_points
 from spherekh.harmonic import (
     SobolevParams,
@@ -403,6 +404,40 @@ def test_sobolev_norm_dimension_mismatch():
     exp = expand_field(make_field([], dim=3), 0.5)
     with pytest.raises(ValueError):
         sobolev_norm(exp, SobolevParams(2.0, 2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sobolev_norm_is_computed_once_per_params(d, monkeypatch):
+    rng = np.random.default_rng(40 + d)
+    field = random_field(d, 5, 0.6, rng)
+    zeta = random_points(d, 20, rng)
+    pairs = np.stack([zeta, random_points(d, 20, rng)], axis=1)
+    calls = []
+    real_table = harmonic.legendre_table
+
+    def counting_table(*args, **kwargs):
+        calls.append(args[:2])
+        return real_table(*args, **kwargs)
+
+    monkeypatch.setattr(harmonic, "legendre_table", counting_table)
+    exp = expand_field(field, 0.7)
+    sp = SobolevParams(d + 1.5, d)
+    norm = sobolev_norm(exp, sp)
+    report = lipschitz_check(field, exp, sp, pairs)
+    assert len(calls) == 1
+    assert report.norm == norm
+    other = SobolevParams(d + 0.7, d)
+    other_norm = sobolev_norm(exp, other)
+    assert len(calls) == 2
+    assert sobolev_norm(exp, sp) == norm and sobolev_norm(exp, other) == other_norm
+    assert len(calls) == 2
+    # each kept value is what a fresh expansion computes, bit for bit
+    for params, value in ((sp, norm), (other, other_norm)):
+        assert sobolev_norm(expand_field(field, 0.7), params) == value
+    assert len(calls) == 4
+    # the dimension check still comes first for a kept expansion
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sobolev_norm(exp, SobolevParams(d + 2.5, d + 1))
 
 
 def _mp_series(y, a, m, poly, term, head=64):
