@@ -33,11 +33,19 @@ from .measures import ShellConfig, sphere_surface_quadrature
 SCHEMA_VERSION = 2
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
 def _parse_exponent(text: str) -> float:
-    if text in ("inf", "Inf", "INF"):
-        return math.inf
     value = float(text)
-    if value < 1.0:
+    if not value >= 1.0:
         raise argparse.ArgumentTypeError(f"exponent must satisfy p >= 1, got {text}")
     return value
 
@@ -52,12 +60,14 @@ def _parse_sizes(text: str) -> list:
 # Every flag's spec and default, stated once; the flag name is the key.
 _FLAGS = {
     "d": dict(type=int, default=2, help="sphere dimension (>= 2)"),
-    "r0": dict(type=float, default=0.3, help="inner radius"),
-    "r": dict(type=float, default=0.7, help="shell radius"),
-    "tol": dict(type=float, default=1e-8, help="acceptance tolerance"),
+    "r0": dict(type=_finite_float, default=0.3, help="inner radius"),
+    "r": dict(type=_finite_float, default=0.7, help="shell radius"),
+    "tol": dict(type=_finite_float, default=1e-8, help="acceptance tolerance"),
     "seed": dict(type=int, default=0, help="seed recorded in reports"),
     "degree": dict(type=int, default=80, help="shell quadrature degree"),
-    "trunc-tol": dict(type=float, default=1e-12, help="expansion truncation tolerance"),
+    "trunc-tol": dict(
+        type=_finite_float, default=1e-12, help="expansion truncation tolerance"
+    ),
     "out": dict(help="write the JSON report here (default: stdout)"),
     "field": dict(help="charge-list JSON file"),
     "sigma": dict(help="signed-measure CSV/JSON file"),
@@ -67,7 +77,7 @@ _FLAGS = {
         type=int, default=60, help="degree of the reference surface quadrature"
     ),
     "n": dict(type=int, help="equal-area partition size"),
-    "epsilon": dict(type=float, help="target accuracy"),
+    "epsilon": dict(type=_finite_float, help="target accuracy"),
     "points": dict(help="scattering CSV/JSON file"),
     "resolution": dict(type=int, help="mesh-norm sampling resolution"),
     "n-values": dict(

@@ -99,11 +99,19 @@ def _validated_sphere_points(points, what: str) -> np.ndarray:
 
 
 def _thread_count() -> int:
-    """Worker count of the KD-tree queries: SPHERE_KH_THREADS, default 1."""
+    """Worker count of kernel sums and KD-tree queries: SPHERE_KH_THREADS.
+
+    The default, also for a value that is not an integer, is the number of
+    CPUs this process may run on.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        default = len(os.sched_getaffinity(0))
+    else:
+        default = os.cpu_count() or 1
     try:
-        return max(1, int(os.environ.get("SPHERE_KH_THREADS", "1")))
+        return max(1, int(os.environ.get("SPHERE_KH_THREADS", default)))
     except ValueError:
-        return 1
+        return default
 
 
 @dataclass
@@ -119,20 +127,30 @@ class Scattering:
 
     def __post_init__(self):
         self.points = _validated_sphere_points(self.points, "scattering")
-        n = len(self.points)
-        if n == 0:
+        if len(self.points) == 0:
             raise ValueError("scattering must contain at least one point")
-        if n >= 2:
-            dist, idx = self.tree.query(self.points, k=2, workers=_thread_count())
-            nearest = dist[:, 1]
-            i = int(np.argmin(nearest))
-            if nearest[i] <= _MIN_SEPARATION:
-                # among coincident points the query may list i itself second
-                j = int(idx[i, 0] if idx[i, 1] == i else idx[i, 1])
-                raise ValueError(
-                    f"scattering points {min(i, j)} and {max(i, j)} coincide "
-                    f"(separation {nearest[i]:.3g})"
-                )
+        pairs = self.tree.query_pairs(_MIN_SEPARATION, output_type="ndarray")
+        if len(pairs):
+            # name the closest pair, the lowest one on a tie
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+            diff = self.points[pairs[:, 0]] - self.points[pairs[:, 1]]
+            gaps = np.linalg.norm(diff, axis=1)
+            c = int(np.argmin(gaps))
+            raise ValueError(
+                f"scattering points {pairs[c, 0]} and {pairs[c, 1]} coincide "
+                f"(separation {gaps[c]:.3g})"
+            )
+
+    @classmethod
+    def _subset(cls, scattering: Scattering, index) -> Scattering:
+        """The points ``scattering.points[index]``, wrapped without re-validation.
+
+        A subset of a validated scattering is on the sphere and pairwise
+        distinct already.
+        """
+        subset = cls.__new__(cls)
+        subset.points, subset.label = scattering.points[index], scattering.label
+        return subset
 
     @cached_property
     def tree(self) -> cKDTree:
@@ -485,7 +503,9 @@ def _merged_partition(
     index order; diameters are certified upper bounds via the triangle
     inequality through cell representatives, capped at 2.
     """
-    order = np.concatenate([heads, np.setdiff1d(np.arange(base.size), heads)])
+    rest = np.ones(base.size, dtype=bool)
+    rest[heads] = False
+    order = np.concatenate([heads, np.flatnonzero(rest)])
     areas = np.zeros(len(heads))
     # ufunc.at adds in index order, so each group's sum runs as a loop would
     np.add.at(areas, groups[order], base.areas[order])
@@ -547,14 +567,13 @@ def _reduce_on_grid(
     # unique returns cells in increasing order with the first (lowest-index)
     # point of each, which is the kept representative
     occupied, first = np.unique(idx, return_index=True)
-    kept_points = pts[first]
-    groups = np.empty(base.size, dtype=np.int64)
+    reduced = Scattering._subset(scattering, first)
+    groups = np.full(base.size, -1, dtype=np.int64)
     groups[occupied] = np.arange(len(occupied))
     # an empty cell joins the group of the cell holding its nearest point
-    empty = np.setdiff1d(np.arange(base.size), occupied)
+    empty = np.flatnonzero(groups < 0)
     groups[empty] = groups[idx[_nearest_points(scattering, base.reps[empty])]]
-    merged = _merged_partition(base, groups, occupied, kept_points)
-    reduced = Scattering(kept_points, label=scattering.label)
+    merged = _merged_partition(base, groups, occupied, reduced.points)
     # the reduced set is a subset, so a sample whose nearest point was kept
     # keeps its distance; only the orphaned ones need the reduced tree
     sample_points, dist, nearest = samples

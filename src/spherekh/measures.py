@@ -6,16 +6,27 @@ information about an atomic measure is held zonally per atom: the degree-l
 component of a unit atom against the addition-formula kernel has coefficient
 one, so coefficient sequences live in ZonalCoefficients with a pole, and the
 inward sweep onto a shell is a per-degree geometric rescaling.
+
+Kernel sums share their target rows out among ``geom._thread_count()``
+workers (SPHERE_KH_THREADS, default the CPUs this process may run on).
+While a sum runs, numpy's bundled OpenBLAS is held at one thread: its own
+threads gain nothing on these small block products and would serialise
+the workers.  Every row runs the same single-threaded calls whichever
+worker takes it, so the values do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
-from .geom import _validated_sphere_points
+from .geom import _thread_count, _validated_sphere_points
 from .specfun import _degree_weights, latitude_quadrature, legendre_table, surface_area
 
 __all__ = [
@@ -42,6 +53,9 @@ _SINGULARITY_GUARD = 1e-12
 _RECOMPUTE_BELOW = 1e-4
 # squared-distance entries per block of a kernel sum (1 MB of float64)
 _BLOCK = 1 << 17
+# held while a kernel sum keeps OpenBLAS at one thread, so that concurrent
+# sums cannot restore each other's counts out of order
+_BLAS_LOCK = threading.Lock()
 
 
 class SingularityError(ValueError):
@@ -196,6 +210,49 @@ def potential_values(measure, targets) -> np.ndarray:
     return _kernel_sum(pts, w, targets, pts.shape[1] - 2)
 
 
+@cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    Loaded on the first kernel sum rather than at import.
+    """
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, then restore its count; yields whether it could."""
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, put = blas
+    with _BLAS_LOCK:
+        before = get()
+        put(1)
+        try:
+            yield True
+        finally:
+            put(before)
+
+
+@cache
+def _pool(workers: int):
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="spherekh-kernel")
+
+
 def _kernel_sum(sources, weights, targets, exponent, name="atom") -> np.ndarray:
     """sum_j weights[j] * |targets[i] - sources[j]|^(-exponent) for each i.
 
@@ -204,6 +261,11 @@ def _kernel_sum(sources, weights, targets, exponent, name="atom") -> np.ndarray:
     multiplies, at most one sqrt and a reciprocal (exponent >= 1).  A pair
     within _SINGULARITY_GUARD raises SingularityError naming the target and
     the source, which the message calls ``name``.
+
+    Each worker takes a contiguous run of row blocks and writes only its
+    rows of the result; a row adds its source tiles in order.  Without an
+    OpenBLAS to hold at one thread (an MKL or Accelerate numpy), the blocks
+    run serially.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     n, (m, k) = len(targets), sources.shape
@@ -219,36 +281,56 @@ def _kernel_sum(sources, weights, targets, exponent, name="atom") -> np.ndarray:
     cols = max(1, min(m, _BLOCK // 32))
     rows = _BLOCK // cols
     half, odd = divmod(exponent, 2)
-    sq_buf = np.empty(min(rows, n) * cols)
-    kern_buf = np.empty_like(sq_buf) if odd or half > 1 else sq_buf
     out = np.zeros(n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        for first in range(0, m, cols):
-            last = min(first + cols, m)
-            shape = (stop - start, last - first)
-            sq = sq_buf[: shape[0] * shape[1]].reshape(shape)
-            np.matmul(left[start:stop], right[:, first:last], out=sq)
-            if sq.min() < _RECOMPUTE_BELOW:
-                i, j = np.nonzero(sq < _RECOMPUTE_BELOW)
-                diff = targets[start + i] - sources[first + j]
-                sq[i, j] = np.einsum("ij,ij->i", diff, diff)
-                if sq.min() <= _SINGULARITY_GUARD**2:
-                    i, j = divmod(int(np.argmin(sq)), shape[1])
-                    raise SingularityError(
-                        f"evaluation point {start + i} coincides with {name} {first + j}"
-                    )
-            kern = kern_buf[: sq.size].reshape(shape)
-            if odd:
-                np.sqrt(sq, out=kern)
-                for _ in range(half):
-                    kern *= sq
-            elif half > 1:
-                np.multiply(sq, sq, out=kern)
-                for _ in range(half - 2):
-                    kern *= sq
-            np.reciprocal(kern, out=kern)
-            out[start:stop] += kern @ weights[first:last]
+
+    def share(begin: int, end: int) -> None:
+        sq_buf = np.empty(min(rows, end - begin) * cols)
+        kern_buf = np.empty_like(sq_buf) if odd or half > 1 else sq_buf
+        for start in range(begin, end, rows):
+            stop = min(start + rows, end)
+            for first in range(0, m, cols):
+                last = min(first + cols, m)
+                shape = (stop - start, last - first)
+                sq = sq_buf[: shape[0] * shape[1]].reshape(shape)
+                np.matmul(left[start:stop], right[:, first:last], out=sq)
+                if sq.min() < _RECOMPUTE_BELOW:
+                    i, j = np.nonzero(sq < _RECOMPUTE_BELOW)
+                    diff = targets[start + i] - sources[first + j]
+                    sq[i, j] = np.einsum("ij,ij->i", diff, diff)
+                    if sq.min() <= _SINGULARITY_GUARD**2:
+                        i, j = divmod(int(np.argmin(sq)), shape[1])
+                        raise SingularityError(
+                            f"evaluation point {start + i} coincides with "
+                            f"{name} {first + j}"
+                        )
+                kern = kern_buf[: sq.size].reshape(shape)
+                if odd:
+                    np.sqrt(sq, out=kern)
+                    for _ in range(half):
+                        kern *= sq
+                elif half > 1:
+                    np.multiply(sq, sq, out=kern)
+                    for _ in range(half - 2):
+                        kern *= sq
+                np.reciprocal(kern, out=kern)
+                out[start:stop] += kern @ weights[first:last]
+
+    with _one_blas_thread() as held:
+        blocks = -(-n // rows)
+        workers = _thread_count() if held and blocks > 1 else 1
+        shares = min(workers, blocks)
+        if shares <= 1:
+            share(0, n)
+        else:
+            edges = [min(n, rows * (blocks * s // shares)) for s in range(shares + 1)]
+            pool = _pool(workers)
+            futures = [pool.submit(share, a, b) for a, b in zip(edges, edges[1:])]
+            # wait for every share; the lowest share's error names the pair
+            # the serial loop would have met first
+            errors = [f.exception() for f in futures]
+            for error in errors:
+                if error is not None:
+                    raise error
     return out
 
 

@@ -207,6 +207,14 @@ _MALFORMED = [
     pytest.param(
         "points", '{"points": [[1, 0, 0], [1, 0, 0], [0, 0, 1]]}', id="points-duplicate-0-1"
     ),
+    pytest.param(
+        "points",
+        '{"points": [[0, 0, 1], [1, 0, 0], [1, 0, 0], [1, 0, 0]]}',
+        id="points-duplicate-three",
+    ),
+    pytest.param(
+        "points", '{"points": [[1, 0, 0], [0, 1, 0], [1, 5e-10, 0]]}', id="points-apart-5e-10"
+    ),
 ]
 
 
@@ -235,6 +243,30 @@ def test_truncation_not_converging_exits_2(inputs, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "did not converge" in err and "tolerance" in err
+    assert "Traceback" not in err
+
+
+# (command and its other arguments, the flag, a value it must refuse)
+_NON_FINITE = [
+    (["verify-identity", "--field", "f.json", "--sigma", "s.csv"], "--trunc-tol", "nan"),
+    (["verify-identity", "--field", "f.json", "--sigma", "s.csv"], "--tol", "nan"),
+    (["verify-identity", "--field", "f.json", "--sigma", "s.csv"], "--r0", "nan"),
+    (["bound", "--field", "f.json", "--sigma", "s.csv"], "--r", "inf"),
+    (["bound", "--field", "f.json", "--sigma", "s.csv"], "--p", "nan"),
+    (["thm4b", "--n", "8"], "--epsilon", "nan"),
+    (["thm4b", "--n", "8"], "--epsilon", "inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value", _NON_FINITE, ids=[f"{a[0]}{f}={v}" for a, f, v in _NON_FINITE]
+)
+def test_non_finite_flags_exit_2(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main(argv + [flag, value])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and value in err
     assert "Traceback" not in err
 
 

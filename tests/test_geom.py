@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spherekh.geom import (
     _band_diameter_sq,
     _max_min_distance,
     _nearest_points,
+    _thread_count,
     equal_area_partition,
     euclidean_distance,
     match_partition_to_scattering,
@@ -200,10 +202,42 @@ def test_mesh_norm_of_partition_centers_below_norm():
 def test_mesh_norm_threads_agree(monkeypatch):
     rng = np.random.default_rng(21)
     sc = Scattering(random_points(2, 200, rng))
+    monkeypatch.setenv("SPHERE_KH_THREADS", "1")
     plain = mesh_norm(sc, resolution=1024)
-    monkeypatch.setenv("SPHERE_KH_THREADS", "4")
-    threaded = mesh_norm(sc, resolution=1024)
-    assert plain.value == threaded.value
+    for workers in ("2", "4"):
+        monkeypatch.setenv("SPHERE_KH_THREADS", workers)
+        assert mesh_norm(sc, resolution=1024) == plain
+
+
+def test_reduction_does_not_depend_on_workers(monkeypatch):
+    # 6000 points query a 96 000-sample grid, large enough for the tree to
+    # split it among its workers
+    sc = Scattering(random_points(2, 6000, np.random.default_rng(22)))
+    results = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SPHERE_KH_THREADS", workers)
+        results.append((mesh_norm(sc), reduce_scattering(sc)))
+    (norm_1, one), (norm_2, two) = results
+    assert norm_1 == norm_2
+    assert np.array_equal(one.scattering.points, two.scattering.points)
+    for field in ("areas", "diameters", "reps", "groups"):
+        assert np.array_equal(getattr(one.partition, field), getattr(two.partition, field))
+    assert one.mesh_norm_original == two.mesh_norm_original
+    assert one.mesh_norm_reduced == two.mesh_norm_reduced
+    assert one.partition_norm == two.partition_norm
+
+
+@pytest.mark.parametrize("value, expected", [(None, None), ("3", 3), ("0", 1), ("x", None)])
+def test_thread_count_defaults_to_usable_cpus(monkeypatch, value, expected):
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    if value is None:
+        monkeypatch.delenv("SPHERE_KH_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SPHERE_KH_THREADS", value)
+    assert _thread_count() == (expected or cpus)
 
 
 def _reference_max_min_distance(samples, points):
@@ -592,3 +626,42 @@ def test_coincident_points_name_the_pair(first, second):
     pts[[first, second]] = [1.0, 0, 0]
     with pytest.raises(ValueError, match=f"points {first} and {second} coincide"):
         Scattering(pts)
+
+
+_CROSS = [[0.0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1], [-1, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        # three coincident points: the lowest of the three tied pairs
+        ([[0, 0, 1], [0, 0, 1]], "points 1 and 5 coincide"),
+        # the closest pair is named, not the lowest
+        ([[1, 0, 0], [1, 5e-10, 0], [1, 6e-10, 0]], r"points 6 and 7 .*\(separation 1e-10\)"),
+        ([[1, 0, 0], [1, 5e-10, 0]], r"points 5 and 6 coincide \(separation 5e-10\)"),
+        ([[1, 0, 0], [1, 2e-9, 0]], None),
+    ],
+    ids=["three-coincident", "closest-pair", "apart-5e-10", "apart-2e-9"],
+)
+def test_separation_check_names_the_closest_pair(extra, error):
+    pts = np.array(_CROSS + extra, dtype=float)
+    if error is None:
+        assert len(Scattering(pts)) == len(pts)
+    else:
+        with pytest.raises(ValueError, match=error):
+            Scattering(pts)
+
+
+def test_reduction_validates_the_input_once(monkeypatch):
+    calls = []
+    validate = Scattering.__post_init__
+    monkeypatch.setattr(
+        Scattering, "__post_init__", lambda self: calls.append(1) or validate(self)
+    )
+    sc = Scattering(random_points(2, 3000, np.random.default_rng(49)))
+    result = reduce_scattering(sc)
+    assert len(calls) == 1 and len(result.scattering) < len(sc)
+    # the wrapped subset is what validation would have returned
+    again = Scattering(result.scattering.points)
+    assert np.array_equal(again.points, result.scattering.points)
+    assert again.label == result.scattering.label == sc.label

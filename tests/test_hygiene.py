@@ -105,3 +105,40 @@ def test_every_cli_flag_is_read_by_its_runner():
         runner = cli._RUNNERS[command].__name__
         unread = sorted(dests - _config_reads(functions, runner, set()))
         assert not unread, f"{command}: flags never read by {runner}: {unread}"
+
+
+def _settings_reads(tree) -> list:
+    """(function, what) for each read of the environment and each ctypes import."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ("environ", "getenv")
+        ):
+            found.append((function, "os." + node.attr))
+        elif isinstance(node, ast.Import):
+            found.extend((function, "ctypes") for a in node.names if a.name == "ctypes")
+        elif isinstance(node, ast.ImportFrom) and node.module == "ctypes":
+            found.append((function, "ctypes"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_new_settings():
+    # SPHERE_KH_THREADS is the one setting read from the environment, and
+    # ctypes only reaches numpy's OpenBLAS
+    allowed = {("geom", "_thread_count", "os.environ"), ("measures", "_openblas", "ctypes")}
+    found = {
+        (path.stem, function, what)
+        for path in MODULES
+        for function, what in _settings_reads(_tree(path))
+    }
+    assert found == allowed, f"settings reads: {sorted(found)}, expected {sorted(allowed)}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spherekh import measures
 from spherekh.discrepancy import (
     _rule_error_measure,
     difference_measure,
@@ -452,3 +453,90 @@ def test_balayage_preserves_interior_potential():
             * table[l]
         )
     assert np.max(np.abs(vals - direct)) < 1e-9
+
+
+# (dim, atoms, targets): several row blocks and, past 4096 atoms, several
+# source tiles; target counts are not multiples of a block's rows.  The last
+# row is the sum of thm4a at d = 3.
+_SHARED_SUMS = [(2, 300, 1000), (3, 5000, 167), (4, 4500, 101), (5, 200, 3001),
+                (3, 11344, 7936)]
+
+
+def _kernel_sum_at(monkeypatch, workers, *args):
+    monkeypatch.setenv("SPHERE_KH_THREADS", str(workers))
+    return measures._kernel_sum(*args)
+
+
+@pytest.mark.parametrize("dim, m, n", _SHARED_SUMS)
+def test_kernel_sum_does_not_depend_on_workers(monkeypatch, dim, m, n):
+    rng = np.random.default_rng(m + n)
+    args = (random_points(dim, m, rng), rng.normal(size=m),
+            random_points(dim, n, rng) * rng.uniform(0.2, 2.0, (n, 1)), dim - 1)
+    serial = _kernel_sum_at(monkeypatch, 1, *args)
+    for workers in (2, 3):
+        assert np.array_equal(_kernel_sum_at(monkeypatch, workers, *args), serial)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_shared_kernel_sum_matches_pairwise_loop(monkeypatch, dim):
+    # 40 atoms give row blocks of 3276 targets, so 3400 targets make two shares
+    rng = np.random.default_rng(50 + dim)
+    pts, weights = random_points(dim, 40, rng), rng.normal(size=40)
+    targets = random_points(dim, 3400, rng) * rng.uniform(0.2, 2.0, (3400, 1))
+    got = _kernel_sum_at(monkeypatch, 2, pts, weights, targets, dim - 1)
+    want = _pairwise_potential(pts, weights, targets)
+    scale = _pairwise_potential(pts, np.abs(weights), targets)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_singular_targets_in_two_shares_name_the_first(monkeypatch):
+    # 5000 atoms: blocks of 32 targets, so 200 targets are seven blocks,
+    # rows 0-95 for the first of two workers and 96-199 for the second
+    rng = np.random.default_rng(52)
+    pts, weights = random_points(3, 5000, rng), rng.normal(size=5000)
+    targets = 0.5 * random_points(3, 200, rng)
+    targets[20], targets[150] = pts[4500], pts[10]
+    message = "evaluation point 20 coincides with atom 4500$"
+    for workers in (1, 2, 3):
+        with pytest.raises(SingularityError, match=message):
+            _kernel_sum_at(monkeypatch, workers, pts, weights, targets, 2)
+
+
+def test_kernel_sum_restores_the_blas_thread_count(monkeypatch):
+    blas = measures._openblas()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    get, put = blas
+    outside = get()
+    # a count other than the held one, so that a sum which leaves BLAS at
+    # one thread shows
+    put(2)
+    try:
+        with measures._one_blas_thread() as held:
+            assert held and get() == 1
+        assert get() == 2
+        rng = np.random.default_rng(53)
+        pts, weights = random_points(2, 5000, rng), rng.normal(size=5000)
+        targets = 0.5 * random_points(2, 200, rng)
+        _kernel_sum_at(monkeypatch, 2, pts, weights, targets, 1)
+        assert get() == 2
+        targets[150] = pts[7]
+        with pytest.raises(SingularityError):
+            _kernel_sum_at(monkeypatch, 2, pts, weights, targets, 1)
+        assert get() == 2
+    finally:
+        put(outside)
+
+
+def test_kernel_sum_runs_serially_without_openblas(monkeypatch):
+    rng = np.random.default_rng(54)
+    args = (random_points(3, 5000, rng), rng.normal(size=5000),
+            0.5 * random_points(3, 300, rng), 2)
+    shared = _kernel_sum_at(monkeypatch, 2, *args)
+    monkeypatch.setattr(measures, "_openblas", lambda: None)
+
+    def no_pool(workers):
+        raise AssertionError("a kernel sum without OpenBLAS must not use the pool")
+
+    monkeypatch.setattr(measures, "_pool", no_pool)
+    assert np.array_equal(_kernel_sum_at(monkeypatch, 2, *args), shared)
