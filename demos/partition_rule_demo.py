@@ -13,7 +13,6 @@ import numpy as np
 
 from spherekh import (
     Scattering,
-    ShellConfig,
     equal_area_partition,
     match_partition_to_scattering,
     mesh_norm,
@@ -35,7 +34,6 @@ def main():
     args = parser.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",")]
-    cfg = ShellConfig(0.3, args.radius)
     quad = sphere_surface_quadrature(args.dim, args.degree)
 
     print(f"surface quadrature: degree {args.degree}, {len(quad.nodes)} nodes")
@@ -46,14 +44,14 @@ def main():
         part = equal_area_partition(args.dim, n)
         points = Scattering(representatives(part))
         matched = match_partition_to_scattering(part, points)
-        rep = partition_rule_bound(quad, matched, cfg, quad)
+        rep = partition_rule_bound(quad, matched, args.radius, quad)
         est = mesh_norm(points)
         print(
             f"{n:>6}   {est.value:9.5f}   {rep.partition_norm:9.5f}   "
             f"{rep.measured_sup:12.6e}   {rep.bound:10.4e}"
         )
 
-    study = scaling_study(args.dim, sizes, cfg, quad)
+    study = scaling_study(args.dim, sizes, args.radius, quad)
     print()
     print(f"fitted decay exponent of the measured sup: {study.fit_exponent:+.3f}")
     print(f"(cell-diameter scaling predicts about {-1.0 / args.dim:+.3f})")

@@ -50,7 +50,7 @@ def main():
     print(f"kept a reduced rule with partition norm {report.partition_norm:.4f}")
     print(f"admissible radii reach up to {report.r_admissible_upper:.4f}")
     print()
-    (radius,) = report.radii
+    radius = report.radius
     print(f"probed radius {radius:.4f}: measured sup {report.measured_sup:.6e}")
     print()
     verdict = "certified" if report.within_epsilon else "NOT certified"

@@ -1,7 +1,11 @@
 """Command-line front end: run verifications and studies, emit reports.
 
-Exit codes: 0 on success, 1 when a bound is violated, a residual exceeds
-the tolerance, or the accuracy gate fails, and 2 on input problems
+Each command takes only the flags its computation reads, and its report
+echoes only settings that decide something: ``verify-identity`` its
+``--tol`` and ``--trunc-tol``, ``thm4b`` its ``--epsilon``.
+
+Exit codes: 0 on success, 1 when a bound is violated, the identity residual
+exceeds ``--tol``, or the accuracy gate fails, and 2 on input problems
 (unusable flags, missing or malformed files, off-sphere points).
 """
 
@@ -13,6 +17,7 @@ from . import fileio
 from .discrepancy import (
     AdmissibleWindowError,
     GateConditionError,
+    _check_inner,
     duality_bound,
     kh_identity,
     partition_rule_bound,
@@ -30,58 +35,70 @@ from .geom import (
 )
 from .measures import ShellConfig, sphere_surface_quadrature
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
-    return value
+def _value(kind, ok, what: str):
+    """Flag type: ``kind(text)``, which ``ok`` must accept; ``what`` names
+    the values it accepts."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _parse_exponent(text: str) -> float:
-    value = float(text)
-    if not value >= 1.0:
-        raise argparse.ArgumentTypeError(f"exponent must satisfy p >= 1, got {text}")
-    return value
+def _sizes(text: str) -> list:
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _parse_sizes(text: str) -> list:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
+_RADIUS = _value(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+_POSITIVE = _value(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_PATH = _value(str, bool, "a file path")
+
+
+def _at_least(low: int):
+    return _value(int, lambda v: v >= low, f"an integer >= {low}")
 
 
 # Every flag's spec and default, stated once; the flag name is the key.
 _FLAGS = {
-    "d": dict(type=int, default=2, help="sphere dimension (>= 2)"),
-    "r0": dict(type=_finite_float, default=0.3, help="inner radius"),
-    "r": dict(type=_finite_float, default=0.7, help="shell radius"),
-    "tol": dict(type=_finite_float, default=1e-8, help="acceptance tolerance"),
-    "seed": dict(type=int, default=0, help="seed recorded in reports"),
-    "degree": dict(type=int, default=80, help="shell quadrature degree"),
+    "d": dict(type=_at_least(2), default=2, help="sphere dimension (>= 2)"),
+    "r0": dict(type=_RADIUS, default=0.3, help="inner radius"),
+    "r": dict(type=_RADIUS, default=0.7, help="shell radius"),
+    "tol": dict(type=_POSITIVE, default=1e-8, help="acceptance tolerance"),
+    "degree": dict(type=_at_least(0), default=80, help="shell quadrature degree"),
     "trunc-tol": dict(
-        type=_finite_float, default=1e-12, help="expansion truncation tolerance"
+        type=_POSITIVE, default=1e-12, help="expansion truncation tolerance"
     ),
     "out": dict(help="write the JSON report here (default: stdout)"),
-    "field": dict(help="charge-list JSON file"),
-    "sigma": dict(help="signed-measure CSV/JSON file"),
-    "rule": dict(help="rule nodes/weights CSV/JSON file"),
-    "p": dict(type=_parse_exponent, default=2.0, help="exponent in [1, inf]"),
-    "mu-degree": dict(
-        type=int, default=60, help="degree of the reference surface quadrature"
+    "field": dict(type=_PATH, help="charge-list JSON file"),
+    "sigma": dict(type=_PATH, help="signed-measure CSV/JSON file"),
+    "rule": dict(type=_PATH, help="rule nodes/weights CSV/JSON file"),
+    "p": dict(
+        type=_value(float, lambda v: v >= 1, "an exponent >= 1 (inf allowed)"),
+        default=2.0,
+        help="exponent in [1, inf]",
     ),
-    "n": dict(type=int, help="equal-area partition size"),
-    "epsilon": dict(type=_finite_float, help="target accuracy"),
-    "points": dict(help="scattering CSV/JSON file"),
-    "resolution": dict(type=int, help="mesh-norm sampling resolution"),
+    "mu-degree": dict(
+        type=_at_least(0), default=60, help="degree of the reference surface quadrature"
+    ),
+    "n": dict(type=_at_least(1), help="equal-area partition size"),
+    "epsilon": dict(type=_POSITIVE, help="target accuracy"),
+    "points": dict(type=_PATH, help="scattering CSV/JSON file"),
+    "resolution": dict(type=_at_least(1), help="mesh-norm sampling resolution"),
     "n-values": dict(
-        type=_parse_sizes,
+        type=_value(
+            _sizes,
+            lambda v: len(v) > 1 and v[0] >= 1 and v == sorted(set(v)),
+            "two or more ascending positive sizes, comma-separated",
+        ),
         default=(64, 256, 1024),
         help="comma-separated ascending sizes",
     ),
@@ -93,33 +110,21 @@ _FLAGS = {
 _COMMANDS = {
     "verify-identity": (
         "check the shell-pairing identity",
-        "d r0 r tol seed degree trunc-tol out field! sigma!",
+        "d r0 r tol degree trunc-tol out field! sigma!",
     ),
-    "bound": (
-        "check the dual-norm error bound",
-        "d r0 r tol seed degree trunc-tol out field! sigma! p",
-    ),
+    "bound": ("check the dual-norm error bound", "d r0 r degree out field! sigma! p"),
     "corollary3": (
         "bound the error of a quadrature rule",
-        "d r0 r tol seed degree trunc-tol out field! rule! p mu-degree",
+        "d r0 r degree out field! rule! p mu-degree",
     ),
-    "thm4a": (
-        "partition-rule sup bound on one shell",
-        "d r0 r tol seed out n! mu-degree",
-    ),
+    "thm4a": ("partition-rule sup bound on one shell", "d r out n! mu-degree"),
     "thm4b": (
         "reduction pipeline with accuracy gate",
-        "d r0 seed out epsilon! points n mu-degree resolution",
+        "d r0 out epsilon! points n mu-degree resolution",
     ),
     "partition": ("export an equal-area partition", "d out n!"),
-    "meshnorm": (
-        "estimate the covering radius of points",
-        "d seed out points! resolution",
-    ),
-    "scaling": (
-        "decay study across partition sizes",
-        "d r0 r tol seed degree out n-values csv",
-    ),
+    "meshnorm": ("estimate the covering radius of points", "d out points! resolution"),
+    "scaling": ("decay study across partition sizes", "d r degree out n-values csv"),
 }
 
 COMMANDS = tuple(_COMMANDS)
@@ -149,18 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
     config = parser.parse_args(argv)
-    if config.d is not None and config.d < 2:
-        parser.error(f"--d: dimension must be at least 2, got {config.d}")
-    if "r" in config:
-        if not 0 < config.r0 < config.r < 1:
-            parser.error(
-                f"--r0/--r: requires r0 < r with both in (0, 1), got "
-                f"r0={config.r0}, r={config.r}"
-            )
-    elif "r0" in config and not 0 < config.r0 < 1:
-        parser.error(f"--r0: must lie in (0, 1), got {config.r0}")
-    if "tol" in config and config.tol <= 0:
-        parser.error(f"--tol: tolerance must be positive, got {config.tol}")
+    if "r0" in config and "r" in config and not config.r0 < config.r:
+        parser.error(f"--r0/--r: requires r0 < r, got r0={config.r0}, r={config.r}")
     if config.command == "thm4b" and config.points is None and config.n is None:
         parser.error("thm4b: provide --points or --n")
     return config
@@ -174,60 +169,62 @@ def _write(out, payload: dict) -> None:
         print(fileio.json_dumps(payload))
 
 
-def _emit(config, payload: dict) -> None:
+def _emit(config, inputs: dict, **fields) -> None:
+    """The command's report: the digest of each given input file, and ``fields``."""
+    digests = {
+        name: fileio.file_digest(path)
+        for name, path in inputs.items()
+        if path is not None
+    }
     _write(
         config.out,
         {
             "schema_version": SCHEMA_VERSION,
             "command": config.command,
-            "seed": config.seed,
-            **payload,
+            "inputs": digests,
+            **fields,
         },
     )
-
-
-def _digests(**paths) -> dict:
-    return {
-        name: fileio.file_digest(path)
-        for name, path in paths.items()
-        if path is not None
-    }
 
 
 def _shell(config) -> ShellConfig:
     return ShellConfig(config.r0, config.r)
 
 
+def _check_dim(config, path, dim: int) -> None:
+    """A given --d must match the dimension of the file at ``path``."""
+    if config.d is not None and config.d != dim:
+        raise ValueError(f"{path}: data lie on S^{dim}, but --d is {config.d}")
+
+
 def _read_scattering(config) -> Scattering:
     """The --points scattering; a given --d must match the file."""
     points = fileio.read_points(config.points)
-    dim = points.shape[1] - 1
-    if config.d is not None and config.d != dim:
-        raise ValueError(
-            f"{config.points}: points lie on S^{dim}, but --d is {config.d}"
-        )
+    _check_dim(config, config.points, points.shape[1] - 1)
     return fileio._named(config.points, Scattering, points)
 
 
+def _field_and_measure(config, path):
+    """The --field charges and the measure at ``path``, each checked against
+    --d and --r0 before a quadrature is built."""
+    field, measure = fileio.read_field(config.field), fileio.read_measure(path)
+    _check_dim(config, config.field, field.dim)
+    _check_dim(config, path, measure.dim)
+    fileio._named(config.field, _check_inner, field, _shell(config))
+    return field, measure
+
+
 def _run_verify_identity(config) -> int:
-    field = fileio.read_field(config.field)
-    sigma = fileio.read_measure(config.sigma)
+    field, sigma = _field_and_measure(config, config.sigma)
     quad = sphere_surface_quadrature(config.d, config.degree)
     report = kh_identity(field, sigma, _shell(config), quad, config.trunc_tol)
-    _emit_series(config, report, field=config.field, sigma=config.sigma)
-    return 0 if report.relative <= config.tol else 1
-
-
-def _emit_series(config, report, **inputs) -> None:
-    """Report of a command that sums field expansions, with both tolerances."""
     _emit(
         config,
-        {
-            "inputs": _digests(**inputs),
-            "tolerances": {"tol": config.tol, "trunc_tol": config.trunc_tol},
-            "result": report.to_dict(),
-        },
+        {"field": config.field, "sigma": config.sigma},
+        tolerances={"tol": config.tol, "trunc_tol": config.trunc_tol},
+        result=report.to_dict(),
     )
+    return 0 if report.relative <= config.tol else 1
 
 
 def _bound_exit(report) -> int:
@@ -236,25 +233,21 @@ def _bound_exit(report) -> int:
 
 
 def _run_bound(config) -> int:
-    field = fileio.read_field(config.field)
-    sigma = fileio.read_measure(config.sigma)
+    field, sigma = _field_and_measure(config, config.sigma)
     quad = sphere_surface_quadrature(config.d, config.degree)
-    report = duality_bound(
-        field, sigma, _shell(config), quad, config.p, config.trunc_tol
-    )
-    _emit_series(config, report, field=config.field, sigma=config.sigma)
+    report = duality_bound(field, sigma, _shell(config), quad, config.p)
+    inputs = {"field": config.field, "sigma": config.sigma}
+    _emit(config, inputs, result=report.to_dict())
     return _bound_exit(report)
 
 
 def _run_corollary3(config) -> int:
-    field = fileio.read_field(config.field)
-    rule = fileio.read_measure(config.rule)
+    field, rule = _field_and_measure(config, config.rule)
     mu = sphere_surface_quadrature(config.d, config.mu_degree)
     quad = sphere_surface_quadrature(config.d, config.degree)
-    report = quadrature_error_bound(
-        field, mu, rule, _shell(config), quad, config.p, config.trunc_tol
-    )
-    _emit_series(config, report, field=config.field, rule=config.rule)
+    report = quadrature_error_bound(field, mu, rule, _shell(config), quad, config.p)
+    inputs = {"field": config.field, "rule": config.rule}
+    _emit(config, inputs, result=report.to_dict())
     return _bound_exit(report)
 
 
@@ -264,18 +257,9 @@ def _run_thm4a(config) -> int:
         part, Scattering(representatives(part))
     )
     mu = sphere_surface_quadrature(config.d, config.mu_degree)
-    report = partition_rule_bound(mu, matched, _shell(config), mu)
-    weights = partition_weights(mu, matched)
-    _emit(
-        config,
-        {
-            "inputs": {},
-            "tolerances": {"tol": config.tol},
-            "n": config.n,
-            "rule_mass": float(weights.sum()),
-            "result": report.to_dict(),
-        },
-    )
+    report = partition_rule_bound(mu, matched, config.r, mu)
+    mass = float(partition_weights(mu, matched).sum())
+    _emit(config, {}, n=config.n, rule_mass=mass, result=report.to_dict())
     return 0 if report.measured_sup <= report.bound + 1e-9 else 1
 
 
@@ -295,14 +279,8 @@ def _run_thm4b(config) -> int:
         outcome, code = {"failure": type(exc).__name__, "detail": str(exc)}, 1
     else:
         outcome, code = {"result": report.to_dict()}, 0 if report.within_epsilon else 1
-    _emit(
-        config,
-        {
-            "inputs": _digests(points=config.points),
-            "tolerances": {"epsilon": config.epsilon},
-            **outcome,
-        },
-    )
+    tolerances = {"epsilon": config.epsilon}
+    _emit(config, {"points": config.points}, tolerances=tolerances, **outcome)
     return code
 
 
@@ -317,15 +295,13 @@ def _run_meshnorm(config) -> int:
     estimate = mesh_norm(scattering, config.resolution)
     _emit(
         config,
-        {
-            "inputs": _digests(points=config.points),
-            "result": {
-                "value": estimate.value,
-                "lower": estimate.lower,
-                "upper": estimate.upper,
-                "resolution_error": estimate.resolution_error,
-                "count": len(scattering),
-            },
+        {"points": config.points},
+        result={
+            "value": estimate.value,
+            "lower": estimate.lower,
+            "upper": estimate.upper,
+            "resolution_error": estimate.resolution_error,
+            "count": len(scattering),
         },
     )
     return 0
@@ -333,17 +309,10 @@ def _run_meshnorm(config) -> int:
 
 def _run_scaling(config) -> int:
     quad = sphere_surface_quadrature(config.d, config.degree)
-    study = scaling_study(config.d, config.n_values, _shell(config), quad)
+    study = scaling_study(config.d, config.n_values, config.r, quad)
     if config.csv:
         fileio.write_scaling_csv(config.csv, study.rows)
-    _emit(
-        config,
-        {
-            "inputs": {},
-            "tolerances": {"tol": config.tol},
-            "result": study.to_dict(),
-        },
-    )
+    _emit(config, {}, result=study.to_dict())
     return 0
 
 

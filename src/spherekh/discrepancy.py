@@ -33,6 +33,7 @@ from .measures import (
     DiscreteSignedMeasure,
     QuadratureMeasure,
     ShellConfig,
+    _one_blas_thread,
     conjugate_exponent,
     potential_values,
     shell_norm,
@@ -115,17 +116,14 @@ class PartitionSupReport:
     mesh_norm_interval: tuple[float, float] | None = None
     epsilon: float | None = None
     r_admissible_upper: float | None = None
-    radii: tuple[float, ...] | None = None
-    sup_values: tuple[float, ...] | None = None
     gate_quotient: float | None = None
     window_quotient: float | None = None
     within_epsilon: bool | None = None
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        for key in ("mesh_norm_interval", "radii", "sup_values"):
-            if d[key] is not None:
-                d[key] = list(d[key])
+        if d["mesh_norm_interval"] is not None:
+            d["mesh_norm_interval"] = list(d["mesh_norm_interval"])
         return {"report": "partition_sup", **d}
 
 
@@ -173,6 +171,21 @@ def _check_inner(field: HarmonicField, cfg: ShellConfig):
         )
 
 
+def _check_radius(r: float):
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"shell radius must lie in (0, 1), got {r}")
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b with OpenBLAS held at one thread.
+
+    A long dot is split into partial sums across BLAS threads; held at one,
+    its value does not depend on the host's thread count.
+    """
+    with _one_blas_thread():
+        return float(a @ b)
+
+
 def kh_identity(
     field: HarmonicField,
     sigma: DiscreteSignedMeasure,
@@ -190,12 +203,12 @@ def kh_identity(
     _check_dims(field, sigma, quad)
     _check_inner(field, cfg)
     atom_values = field_values(field, sigma.points)
-    lhs = float(sigma.weights @ atom_values)
+    lhs = _dot(sigma.weights, atom_values)
     expansion = expand_field(field, cfg.r, tol)
     d_profile = apply_D_values(expansion, quad.nodes)
     u_profile = potential_values(sigma, cfg.r * quad.nodes)
     d = field.dim
-    rhs = cfg.r ** (d - 1) * float(quad.weights @ (d_profile * u_profile))
+    rhs = cfg.r ** (d - 1) * _dot(quad.weights, d_profile * u_profile)
     residual = abs(lhs - rhs)
     peak = float(np.max(np.abs(atom_values))) if len(atom_values) else 0.0
     scale = max(abs(lhs), sigma.total_variation * peak)
@@ -211,7 +224,6 @@ def duality_bound(
     cfg: ShellConfig,
     quad: QuadratureMeasure,
     p: float,
-    tol: float = 1e-12,
 ) -> BoundReport:
     """Majorize |integral of f against sigma| by a product of shell norms.
 
@@ -220,8 +232,8 @@ def duality_bound(
     """
     _check_dims(field, sigma, quad)
     _check_inner(field, cfg)
-    lhs = abs(float(sigma.weights @ field_values(field, sigma.points)))
-    expansion = expand_field(field, cfg.r, tol)
+    lhs = abs(_dot(sigma.weights, field_values(field, sigma.points)))
+    expansion = expand_field(field, cfg.r)
     d_profile = apply_D_values(expansion, quad.nodes)
     u_profile = potential_values(sigma, cfg.r * quad.nodes)
     q = conjugate_exponent(p)
@@ -270,14 +282,13 @@ def quadrature_error_bound(
     cfg: ShellConfig,
     quad: QuadratureMeasure,
     p: float,
-    tol: float = 1e-12,
 ) -> BoundReport:
     """Bound the error of the rule ``nu`` against the quadrature ``mu``.
 
     The left side is the honest rule error; the right side applies the
     duality bound to the difference measure.
     """
-    return duality_bound(field, difference_measure(mu, nu), cfg, quad, p, tol)
+    return duality_bound(field, difference_measure(mu, nu), cfg, quad, p)
 
 
 def partition_weights(mu: QuadratureMeasure, partition) -> np.ndarray:
@@ -299,31 +310,29 @@ def _rule_error_measure(
 def partition_rule_bound(
     mu: QuadratureMeasure,
     matched: Partition,
-    cfg: ShellConfig,
+    r: float,
     quad: QuadratureMeasure,
 ) -> PartitionSupReport:
     """Measured vs. guaranteed sup of the rule-error potential on one shell.
 
     The rule puts the mass of each region on its scattering point; the sup
     of the resulting error potential over the radius-r shell is bounded by
-    (d-1) * mass * partition-norm / (1-r)^(d+1).
+    (d-1) * mass * partition-norm / (1-r)^(d+1), for r in (0, 1).
     """
+    _check_radius(r)
     if mu.dim != matched.dim:
         raise ValueError(
             f"dimension mismatch: quadrature on S^{mu.dim}, partition on "
             f"S^{matched.dim}"
         )
     sigma = _rule_error_measure(mu, matched)
-    profile = potential_values(sigma, cfg.r * quad.nodes)
+    profile = potential_values(sigma, r * quad.nodes)
     measured = float(np.max(np.abs(profile)))
     pnorm = partition_norm(matched)
     d = mu.dim
-    bound = (d - 1) * mu.mass * pnorm / (1.0 - cfg.r) ** (d + 1)
+    bound = (d - 1) * mu.mass * pnorm / (1.0 - r) ** (d + 1)
     return PartitionSupReport(
-        measured_sup=measured,
-        bound=bound,
-        partition_norm=pnorm,
-        radius=cfg.r,
+        measured_sup=measured, bound=bound, partition_norm=pnorm, radius=r
     )
 
 
@@ -332,7 +341,6 @@ def reduction_pipeline(
     mu: QuadratureMeasure,
     epsilon: float,
     r0: float,
-    probe: QuadratureMeasure | None = None,
     resolution: int | None = None,
 ) -> PartitionSupReport:
     """Certify a target sup-accuracy on a window of shell radii.
@@ -344,13 +352,14 @@ def reduction_pipeline(
     q = (d-1) * mass * partition-norm / epsilon must stay below 1, and the
     admissible radii run up to 1 - q^(1/(d+1)).
 
-    One radius is probed: rho = r0 + 8/9 (upper - r0), where the bound is
-    taken.  Every atom of the rule-error measure lies on S^d, so its
-    potential is harmonic in the open unit ball; by the maximum principle
-    the max of its modulus over |x| <= rho is reached on |x| = rho, and it
-    does not decrease as rho grows.  The sup at rho therefore covers every
-    radius of the window up to rho.  The report records that radius, its
-    measured sup and whether it stayed within epsilon.
+    One radius is probed, on a degree-40 quadrature: rho = r0 + 8/9
+    (upper - r0), where the bound is taken.  Every atom of the rule-error
+    measure lies on S^d, so its potential is harmonic in the open unit
+    ball; by the maximum principle the max of its modulus over |x| <= rho
+    is reached on |x| = rho, and it does not decrease as rho grows.  The sup
+    at rho therefore covers every radius of the window up to rho.  The
+    report records that radius, its measured sup and whether it stayed
+    within epsilon.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -390,8 +399,7 @@ def reduction_pipeline(
     # 8/9 of the window, so reports keep the radius and bound of schema 1
     radius = r0 + (r_upper - r0) * 8 / 9.0
     sigma = _rule_error_measure(mu, reduction.partition)
-    if probe is None:
-        probe = sphere_surface_quadrature(d, 40)
+    probe = sphere_surface_quadrature(d, 40)
     measured = float(np.max(np.abs(potential_values(sigma, radius * probe.nodes))))
     bound = (d - 1) * mu.mass * pnorm / (1.0 - radius) ** (d + 1)
     return PartitionSupReport(
@@ -400,22 +408,19 @@ def reduction_pipeline(
         partition_norm=pnorm,
         mesh_norm_interval=(estimate.lower, estimate.upper),
         epsilon=epsilon,
+        radius=radius,
         r_admissible_upper=r_upper,
-        radii=(radius,),
-        sup_values=(measured,),
         gate_quotient=gate_quotient,
         window_quotient=window_quotient,
         within_epsilon=bool(measured <= epsilon),
     )
 
 
-def _scaling_row(
-    dim: int, n: int, cfg: ShellConfig, quad: QuadratureMeasure
-) -> ScalingRow:
+def _scaling_row(dim: int, n: int, r: float, quad: QuadratureMeasure) -> ScalingRow:
     part = equal_area_partition(dim, n)
     points = Scattering(representatives(part))
     matched = match_partition_to_scattering(part, points)
-    report = partition_rule_bound(quad, matched, cfg, quad)
+    report = partition_rule_bound(quad, matched, r, quad)
     estimate = mesh_norm(points)
     return ScalingRow(
         n=n,
@@ -429,7 +434,7 @@ def _scaling_row(
 def scaling_study(
     dim: int,
     n_values,
-    cfg: ShellConfig,
+    r: float,
     quad: QuadratureMeasure,
 ) -> ScalingStudy:
     """Rule-error decay for equal-area rules across partition sizes.
@@ -437,17 +442,16 @@ def scaling_study(
     Each row uses the partition's own center points as the scattering and
     the quadrature both as the target measure and as the shell probe.  The
     fitted exponent is the log-log slope of the measured sup against n
-    (the expected rate is -1/dim).
+    (the expected rate is -1/dim).  The shell radius r lies in (0, 1).
     """
+    _check_radius(r)
     n_values = [int(n) for n in n_values]
     if n_values != sorted(n_values) or len(set(n_values)) != len(n_values):
         raise ValueError("partition sizes must be strictly ascending")
     if len(n_values) < 2:
         raise ValueError("need at least two partition sizes to fit a rate")
-    rows = [_scaling_row(dim, n, cfg, quad) for n in n_values]
+    rows = [_scaling_row(dim, n, r, quad) for n in n_values]
     logs_n = np.log([row.n for row in rows])
     logs_sup = np.log([row.measured_sup for row in rows])
     exponent = float(np.polyfit(logs_n, logs_sup, 1)[0])
-    return ScalingStudy(
-        rows=tuple(rows), fit_exponent=exponent, dim=dim, radius=cfg.r
-    )
+    return ScalingStudy(rows=tuple(rows), fit_exponent=exponent, dim=dim, radius=r)

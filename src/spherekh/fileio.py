@@ -160,13 +160,18 @@ def _named(path, build, *args, **kwargs):
 
 
 def _json_object(path: Path) -> dict:
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return doc
 
 
 def _json_floats(path: Path, doc: dict, key: str) -> np.ndarray:
+    if key not in doc:
+        raise ValueError(f"{path}: missing '{key}'")
     try:
         return np.asarray(doc[key], dtype=float)
     except (TypeError, ValueError):

@@ -157,7 +157,6 @@ def test_criterion_3_balayage_matches_direct(announce):
 
 
 def test_criterion_4_partition_rule_bound_and_decay(announce):
-    cfg = ShellConfig(0.3, 0.5)
     quad = sphere_surface_quadrature(2, 60)
     sups = []
     bounds_ok = True
@@ -166,7 +165,7 @@ def test_criterion_4_partition_rule_bound_and_decay(announce):
         matched = match_partition_to_scattering(
             part, Scattering(representatives(part))
         )
-        report = partition_rule_bound(quad, matched, cfg, quad)
+        report = partition_rule_bound(quad, matched, 0.5, quad)
         bounds_ok = bounds_ok and report.measured_sup <= report.bound
         sups.append(report.measured_sup)
     exponent = float(
@@ -191,7 +190,7 @@ def test_criterion_5_pipeline_and_gate_exit_code(tmp_path, announce):
     gate_constant = 8 * 2 * math.sqrt(2 * 2 * 3)
     epsilon = 2.0 * (2 - 1) * gate_constant * mu.mass * estimate.upper
     report = reduction_pipeline(scattering, mu, epsilon, 0.3)
-    within = report.within_epsilon and max(report.sup_values) <= epsilon
+    within = report.within_epsilon and report.measured_sup <= epsilon
 
     exit_code = cli_main(
         ["thm4b", "--n", "1", "--epsilon", "0.5", "--r0", "0.3",
@@ -202,7 +201,7 @@ def test_criterion_5_pipeline_and_gate_exit_code(tmp_path, announce):
         5,
         ok,
         f"pipeline at n=1024, epsilon={epsilon:.1f}: the top radius is within "
-        f"epsilon (max sup {max(report.sup_values):.3e}); gate failure "
+        f"epsilon (sup {report.measured_sup:.3e}); gate failure "
         f"exits {exit_code}",
     )
     assert within

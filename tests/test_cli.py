@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -81,7 +82,7 @@ def test_identity_run_and_exit_codes(inputs):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["result"]["report"] == "identity"
     assert doc["result"]["relative"] <= 1e-10
     assert set(doc["inputs"]) == {"field", "sigma"}
@@ -215,6 +216,13 @@ _MALFORMED = [
     pytest.param(
         "points", '{"points": [[1, 0, 0], [0, 1, 0], [1, 5e-10, 0]]}', id="points-apart-5e-10"
     ),
+    # files that are well-formed alone but do not fit the flags or parse at all
+    pytest.param(
+        "field", '{"charges": [{"location": [0.5, 0, 0], "strength": 1}]}', id="field-beyond-r0"
+    ),
+    pytest.param("sigma", '{"points": [[1, 0, 0, 0]], "weights": [1]}', id="sigma-on-s3"),
+    pytest.param("sigma", '{"points": [[1, 0, 0]]}', id="sigma-no-weights"),
+    pytest.param("sigma", '{"points": [[1, 0, 0]], "weights": [1]', id="sigma-cut-short"),
 ]
 
 
@@ -274,11 +282,30 @@ def test_non_finite_flags_exit_2(capsys, argv, flag, value):
 _DROPPED_FLAGS = [
     (cmd, argv, flag)
     for cmd, argv, flags in (
-        ("thm4a", ["--n", "8"], ("--degree", "--trunc-tol")),
-        ("thm4b", ["--n", "8", "--epsilon", "1"], ("--tol", "--degree", "--trunc-tol")),
+        ("verify-identity", ["--field", "f.json", "--sigma", "s.csv"], ("--seed",)),
+        (
+            "bound",
+            ["--field", "f.json", "--sigma", "s.csv"],
+            ("--seed", "--tol", "--trunc-tol"),
+        ),
+        (
+            "corollary3",
+            ["--field", "f.json", "--rule", "r.csv"],
+            ("--seed", "--tol", "--trunc-tol"),
+        ),
+        ("thm4a", ["--n", "8"], ("--degree", "--trunc-tol", "--seed", "--tol", "--r0")),
+        (
+            "thm4b",
+            ["--n", "8", "--epsilon", "1"],
+            ("--tol", "--degree", "--trunc-tol", "--seed"),
+        ),
         ("partition", ["--n", "8"], ("--tol", "--seed", "--degree", "--trunc-tol")),
-        ("meshnorm", ["--points", "p.csv"], ("--tol", "--degree", "--trunc-tol")),
-        ("scaling", [], ("--trunc-tol",)),
+        (
+            "meshnorm",
+            ["--points", "p.csv"],
+            ("--tol", "--degree", "--trunc-tol", "--seed"),
+        ),
+        ("scaling", [], ("--trunc-tol", "--seed", "--tol", "--r0")),
     )
     for flag in flags
 ]
@@ -293,6 +320,38 @@ def test_unread_flags_are_rejected(capsys, cmd, argv, flag):
         parse_args([cmd] + argv + [flag, "1"])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thm4a", "--n", "64", "--r", "0.2", "--mu-degree", "20"],
+        ["scaling", "--r", "0.25", "--n-values", "16,64", "--degree", "20"],
+    ],
+    ids=["thm4a", "scaling"],
+)
+def test_radius_below_the_old_inner_default_is_accepted(tmp_path, argv):
+    # neither command reads an inner radius, so --r may lie below 0.3
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["result"]["radius"] == float(argv[argv.index("--r") + 1])
+    assert "seed" not in doc and "tolerances" not in doc
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["thm4a", "--n", "8", "--r", "1"], "--r: expected a number in (0, 1)"),
+        (["scaling", "--r", "0"], "--r: expected a number in (0, 1)"),
+        (["thm4b", "--n", "8", "--epsilon", "1", "--r0", "1.5"], "--r0: expected a number"),
+    ],
+)
+def test_each_radius_flag_is_checked(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        parse_args(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["meshnorm", "thm4b"])
@@ -330,8 +389,7 @@ def test_missing_file_exits_2(inputs, capsys):
 def test_thm4a_run(tmp_path):
     out = tmp_path / "t4a.json"
     code = main(
-        ["thm4a", "--n", "64", "--r0", "0.3", "--r", "0.5",
-         "--mu-degree", "40", "--out", str(out)]
+        ["thm4a", "--n", "64", "--r", "0.5", "--mu-degree", "40", "--out", str(out)]
     )
     assert code == 0
     doc = json.loads(out.read_text())
@@ -349,7 +407,8 @@ def test_thm4b_success_and_gate_failure(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["result"]["within_epsilon"] is True
-    assert len(doc["result"]["radii"]) == 1
+    assert 0.3 < doc["result"]["radius"] < doc["result"]["r_admissible_upper"]
+    assert doc["tolerances"] == {"epsilon": 200.0}
 
     fail = tmp_path / "fail.json"
     code = main(
@@ -393,7 +452,7 @@ def test_scaling_csv(tmp_path):
     out = tmp_path / "s.json"
     csv = tmp_path / "s.csv"
     code = main(
-        ["scaling", "--n-values", "16,64", "--r0", "0.3", "--r", "0.5",
+        ["scaling", "--n-values", "16,64", "--r", "0.5",
          "--degree", "30", "--out", str(out), "--csv", str(csv)]
     )
     assert code == 0
@@ -415,3 +474,141 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for name in ("verify-identity", "thm4b", "scaling"):
         assert name in proc.stdout
+
+
+# what the exit-code fuzz swaps into flag values and file cells
+_FUZZ_TEXT = ("nan", "inf", "-inf", "", "abc", "-1", "0", "1", "2.5", "1e309", "[1]", "3")
+_FUZZ_JSON = (math.nan, math.inf, "", "abc", None, [], {}, True, [1, 2])
+_FUZZ_SCALE = (1.1, 3.0, -1.0, 0.0, 1e9)
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _fuzz_argv(rng, argv):
+    """argv with one token dropped or duplicated or one flag value swapped,
+    and the tokens of which an input error must name one."""
+    kind = int(rng.integers(3))
+    if kind == 2:
+        i = _pick(rng, [i for i in range(2, len(argv)) if argv[i - 1].startswith("--")])
+        text = _pick(rng, _FUZZ_TEXT)
+        return argv[:i] + [text] + argv[i + 1:], [argv[i - 1], repr(text)]
+    # the token itself, or the flag or value next to it
+    i = int(rng.integers(1, len(argv)))
+    named = argv[max(1, i - 1):i + 2]
+    return argv[:i] + argv[i:i + 1] * kind + argv[i + 1:], named
+
+
+def _fuzz_json(rng, doc):
+    """Drop, duplicate, scale or retype one entry somewhere inside ``doc``."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return doc
+        key = _pick(rng, keys)
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and rng.random() < 0.7:
+            node = child
+            continue
+        kind = int(rng.integers(3))
+        if kind == 0:
+            del node[key]
+        elif kind == 1 and isinstance(node, list):
+            node.insert(key, child)
+        elif isinstance(child, float):
+            node[key] = child * _pick(rng, _FUZZ_SCALE)
+        else:
+            node[key] = _pick(rng, _FUZZ_JSON)
+        return doc
+
+
+def _fuzz_text(rng, path):
+    """The file's text with one row or cell dropped, duplicated or changed;
+    a JSON file may instead be cut short."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        if rng.random() < 0.2:
+            return text[: int(rng.integers(len(text)))]
+        return json.dumps(_fuzz_json(rng, json.loads(text)))
+    lines = text.splitlines()
+    k = int(rng.integers(len(lines)))
+    kind = int(rng.integers(4))
+    if kind < 2:
+        lines[k:k + 1] = lines[k:k + 1] * (2 * kind)
+    else:
+        cells = lines[k].split(",")
+        c = int(rng.integers(len(cells)))
+        if kind == 2:
+            del cells[c]
+        elif rng.random() < 0.5:
+            cells[c] = _pick(rng, _FUZZ_TEXT)
+        else:
+            try:
+                cells[c] = repr(float(cells[c]) * _pick(rng, _FUZZ_SCALE))
+            except ValueError:
+                cells[c] = "x"
+        lines[k] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def test_exit_code_contract_under_fuzzing(tmp_path, capsys):
+    # every run of a mutated valid command ends in 0, 1 or 2 without a
+    # traceback, and an exit 2 names the changed flag or file
+    rng = np.random.default_rng(2027)
+    field, sigma = tmp_path / "field.json", tmp_path / "sigma.csv"
+    rule, cloud, cloud_json = (tmp_path / n for n in ("rule.json", "cloud.csv", "cloud.json"))
+    write_field_json(field, random_field(2, 3, 0.3, rng))
+    write_measure_csv(
+        sigma, DiscreteSignedMeasure(random_points(2, 20, rng), rng.uniform(-1, 1, 20))
+    )
+    rule.write_text(json.dumps(
+        {"d": 2, "points": random_points(2, 12, rng).tolist(), "weights": [math.pi / 3] * 12}
+    ))
+    write_points_csv(cloud, random_points(2, 60, rng), dim=2)
+    cloud_json.write_text(json.dumps({"d": 2, "points": random_points(2, 40, rng).tolist()}))
+    files = {str(p) for p in (field, sigma, rule, cloud, cloud_json)}
+    shell = ["--d", "2", "--r0", "0.3", "--r", "0.7"]
+    valid = [
+        ["verify-identity", *shell, "--field", str(field), "--sigma", str(sigma),
+         "--degree", "20", "--tol", "1e-6", "--trunc-tol", "1e-12"],
+        ["bound", *shell, "--field", str(field), "--sigma", str(sigma), "--p", "2",
+         "--degree", "20"],
+        ["corollary3", *shell, "--field", str(field), "--rule", str(rule), "--p", "inf",
+         "--degree", "16", "--mu-degree", "10"],
+        ["thm4a", "--n", "16", "--mu-degree", "10", "--r", "0.5"],
+        ["thm4b", "--points", str(cloud), "--epsilon", "100", "--mu-degree", "10",
+         "--resolution", "40"],
+        ["thm4b", "--n", "32", "--epsilon", "200", "--mu-degree", "10", "--r0", "0.3"],
+        ["partition", "--n", "8", "--d", "3"],
+        ["meshnorm", "--points", str(cloud_json), "--resolution", "40"],
+        ["scaling", "--n-values", "4,16", "--degree", "10", "--r", "0.6"],
+    ]
+    codes = []
+    for case in range(300):
+        argv = list(_pick(rng, valid))
+        inputs = [i for i, a in enumerate(argv) if a in files]
+        if inputs and rng.random() < 0.5:
+            i = _pick(rng, inputs)
+            bad = tmp_path / f"fuzz_{case}{Path(argv[i]).suffix}"
+            bad.write_text(_fuzz_text(rng, Path(argv[i])))
+            argv[i], named = str(bad), [str(bad)]
+        else:
+            argv, named = _fuzz_argv(rng, argv)
+        argv += ["--out", str(tmp_path / "report.json")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err
+        if code == 2:
+            # the message is the last line, after argparse's usage lines
+            message = err.strip().splitlines()[-1]
+            assert any(token in message for token in named), (argv, message)
+        codes.append(code)
+    assert set(codes) == {0, 1, 2}

@@ -26,6 +26,7 @@ from spherekh.geom import (
     reduce_scattering,
     representatives,
 )
+from spherekh import measures
 from spherekh.harmonic import make_field, random_field
 from spherekh.measures import (
     DiscreteSignedMeasure,
@@ -55,6 +56,31 @@ def test_identity_origin_charge_single_atom():
     rep = kh_identity(f, atom([0.0, 0.0, 1.0]), CFG, QUAD80)
     assert_allclose(rep.lhs, 2.0, rtol=0)
     assert rep.relative < 1e-10
+
+
+def test_identity_does_not_depend_on_the_blas_thread_count():
+    # at 20 301 nodes a threaded OpenBLAS splits the pairing's dot product
+    # into partial sums; the identity holds BLAS at one thread for it
+    blas = measures._openblas()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    get, put = blas
+    quad = sphere_surface_quadrature(2, 200)
+    assert len(quad.nodes) == 20301
+    outside = get()
+    try:
+        for seed in (60, 62, 63):
+            rng = np.random.default_rng(seed)
+            field, sigma = random_field(2, 8, 0.3, rng), random_measure(2, 500, rng)
+            reports = []
+            for threads in (1, 2):
+                put(threads)
+                reports.append(kh_identity(field, sigma, CFG, quad))
+                assert get() == threads
+            assert reports[0].rhs == reports[1].rhs
+            assert reports[0] == reports[1]
+    finally:
+        put(outside)
 
 
 def test_identity_mass_zero_measure_constant_field():
@@ -216,8 +242,7 @@ def test_partition_rule_bound_whole_sphere():
         part, Scattering(np.array([[0.0, 1.0, 0.0]]))
     )
     mu = sphere_surface_quadrature(2, 20)
-    cfg = ShellConfig(0.3, 0.5)
-    rep = partition_rule_bound(mu, matched, cfg, mu)
+    rep = partition_rule_bound(mu, matched, 0.5, mu)
     assert_allclose(rep.bound, (2 - 1) * mu.mass * 2.0 / (1 - 0.5) ** 3, rtol=1e-12)
     assert rep.measured_sup <= rep.bound
 
@@ -227,12 +252,11 @@ def test_partition_rule_bound_degenerate_zero_error():
     sc = Scattering(representatives(part))
     matched = match_partition_to_scattering(part, sc)
     mu = QuadratureMeasure(sc.points, np.full(4, math.pi))
-    rep = partition_rule_bound(mu, matched, ShellConfig(0.3, 0.5), QUAD80)
+    rep = partition_rule_bound(mu, matched, 0.5, QUAD80)
     assert rep.measured_sup == 0.0
 
 
 def test_partition_rule_bound_decay():
-    cfg = ShellConfig(0.3, 0.5)
     quad = sphere_surface_quadrature(2, 40)
     sups = {}
     for n in (256, 1024):
@@ -240,7 +264,7 @@ def test_partition_rule_bound_decay():
         matched = match_partition_to_scattering(
             part, Scattering(representatives(part))
         )
-        rep = partition_rule_bound(quad, matched, cfg, quad)
+        rep = partition_rule_bound(quad, matched, 0.5, quad)
         assert rep.measured_sup <= rep.bound
         sups[n] = rep.measured_sup
     assert sups[1024] < sups[256]
@@ -248,7 +272,7 @@ def test_partition_rule_bound_decay():
 
 def test_partition_rule_bound_randomized_trials():
     rng = np.random.default_rng(47)
-    cfg_radii = rng.uniform(0.2, 0.8, 30)
+    radii = rng.uniform(0.2, 0.8, 30)
     for i in range(30):
         n = int(rng.integers(2, 80))
         part = equal_area_partition(2, n)
@@ -260,8 +284,7 @@ def test_partition_rule_bound_randomized_trials():
         mu = QuadratureMeasure(
             base.nodes, base.weights * rng.uniform(0.2, 3.0), degree
         )
-        cfg = ShellConfig(0.1, float(cfg_radii[i]))
-        rep = partition_rule_bound(mu, matched, cfg, base)
+        rep = partition_rule_bound(mu, matched, float(radii[i]), base)
         assert rep.measured_sup <= rep.bound
 
 
@@ -269,10 +292,9 @@ def test_partition_rule_bound_scales_with_measure():
     part = equal_area_partition(2, 16)
     matched = match_partition_to_scattering(part, Scattering(representatives(part)))
     base = sphere_surface_quadrature(2, 30)
-    cfg = ShellConfig(0.3, 0.5)
-    r1 = partition_rule_bound(base, matched, cfg, base)
+    r1 = partition_rule_bound(base, matched, 0.5, base)
     tripled = QuadratureMeasure(base.nodes, 3.0 * base.weights, 30)
-    r3 = partition_rule_bound(tripled, matched, cfg, base)
+    r3 = partition_rule_bound(tripled, matched, 0.5, base)
     assert_allclose(r3.measured_sup, 3.0 * r1.measured_sup, rtol=1e-12)
     assert_allclose(r3.bound, 3.0 * r1.bound, rtol=1e-12)
 
@@ -287,9 +309,7 @@ def test_pipeline_certifies_window():
     rep = reduction_pipeline(sc, mu, eps, 0.3)
     assert rep.gate_quotient == pytest.approx(0.5, rel=1e-12)
     assert rep.within_epsilon
-    assert len(rep.radii) == 1
-    assert rep.radii[0] > 0.3 and rep.radii[-1] < rep.r_admissible_upper
-    assert max(rep.sup_values) == rep.measured_sup
+    assert 0.3 < rep.radius < rep.r_admissible_upper
     assert rep.measured_sup <= eps
     assert rep.mesh_norm_interval[0] <= rep.mesh_norm_interval[1]
 
@@ -339,8 +359,7 @@ def test_one_radius_matches_eight_radius_max(d, n, seed, mu_degree):
     rep = reduction_pipeline(scattering, mu, eps, 0.3)
     old = _eight_radius_pipeline(scattering, mu, eps, 0.3)
     assert rep.measured_sup == old["measured_sup"]
-    assert rep.radii == (old["top_radius"],)
-    assert rep.sup_values == (rep.measured_sup,)
+    assert rep.radius == old["top_radius"]
     for key in ("bound", "partition_norm", "mesh_norm_interval", "r_admissible_upper"):
         assert getattr(rep, key) == old[key]
     assert rep.within_epsilon == (old["measured_sup"] <= eps)
@@ -379,9 +398,7 @@ def test_pipeline_input_validation():
 
 
 def test_scaling_study_basic():
-    study = scaling_study(
-        2, [16, 64, 256], ShellConfig(0.3, 0.5), sphere_surface_quadrature(2, 40)
-    )
+    study = scaling_study(2, [16, 64, 256], 0.5, sphere_surface_quadrature(2, 40))
     assert [row.n for row in study.rows] == [16, 64, 256]
     assert study.fit_exponent < 0
     for row in study.rows:
@@ -395,7 +412,7 @@ def test_scaling_study_monotone_when_surrogate_resolves_cells():
     study = scaling_study(
         2,
         [64, 256, 1024],
-        ShellConfig(0.3, 0.5),
+        0.5,
         sphere_surface_quadrature(2, 100),
     )
     sups = [row.measured_sup for row in study.rows]
@@ -405,14 +422,24 @@ def test_scaling_study_monotone_when_surrogate_resolves_cells():
 
 
 def test_scaling_study_validates_sizes():
-    cfg = ShellConfig(0.3, 0.5)
     quad = sphere_surface_quadrature(2, 20)
     with pytest.raises(ValueError, match="ascending"):
-        scaling_study(2, [64, 16], cfg, quad)
+        scaling_study(2, [64, 16], 0.5, quad)
     with pytest.raises(ValueError, match="ascending"):
-        scaling_study(2, [16, 16], cfg, quad)
+        scaling_study(2, [16, 16], 0.5, quad)
     with pytest.raises(ValueError, match="at least two"):
-        scaling_study(2, [16], cfg, quad)
+        scaling_study(2, [16], 0.5, quad)
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, 1.5])
+def test_rule_bounds_reject_radii_outside_the_ball(r):
+    quad = sphere_surface_quadrature(2, 10)
+    part = equal_area_partition(2, 4)
+    matched = match_partition_to_scattering(part, Scattering(representatives(part)))
+    with pytest.raises(ValueError, match="shell radius must lie in"):
+        partition_rule_bound(quad, matched, r, quad)
+    with pytest.raises(ValueError, match="shell radius must lie in"):
+        scaling_study(2, [4, 16], r, quad)
 
 
 def test_report_dictionaries_are_json_ready():
@@ -427,12 +454,10 @@ def test_report_dictionaries_are_json_ready():
     part = equal_area_partition(2, 4)
     matched = match_partition_to_scattering(part, Scattering(representatives(part)))
     pd = partition_rule_bound(
-        sphere_surface_quadrature(2, 10), matched, ShellConfig(0.3, 0.5), QUAD80
+        sphere_surface_quadrature(2, 10), matched, 0.5, QUAD80
     ).to_dict()
     assert pd["report"] == "partition_sup"
-    assert pd["radii"] is None
-    sd = scaling_study(
-        2, [4, 16], ShellConfig(0.3, 0.5), sphere_surface_quadrature(2, 10)
-    ).to_dict()
+    assert pd["radius"] == 0.5 and pd["mesh_norm_interval"] is None
+    sd = scaling_study(2, [4, 16], 0.5, sphere_surface_quadrature(2, 10)).to_dict()
     assert sd["report"] == "scaling"
     assert len(sd["rows"]) == 2

@@ -1,8 +1,9 @@
 """Static checks on the package sources: exported names exist, imports are used,
-and every CLI flag is read."""
+every CLI flag is read, and README's flag table lists the CLI's flags."""
 
 import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,30 @@ def test_every_cli_flag_is_read_by_its_runner():
         runner = cli._RUNNERS[command].__name__
         unread = sorted(dests - _config_reads(functions, runner, set()))
         assert not unread, f"{command}: flags never read by {runner}: {unread}"
+
+
+def _flag_cell(flags: str) -> str:
+    """README's cell for a command's flag spec: runs of optional flags in
+    backticks, runs of required ones in bold backticks."""
+    runs = []
+    for flag in flags.split():
+        required, name = flag.endswith("!"), "--" + flag.rstrip("!")
+        if runs and runs[-1][0] == required:
+            runs[-1][1].append(name)
+        else:
+            runs.append((required, [name]))
+    return " ".join(
+        ("**`{}`**" if required else "`{}`").format(" ".join(names))
+        for required, names in runs
+    )
+
+
+def test_readme_flag_table_matches_the_cli():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | flags (required in bold) |\n")[1].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `([a-z0-9-]+)` \| (.+) \|$", table, re.M))
+    expected = {command: _flag_cell(flags) for command, (_, flags) in cli._COMMANDS.items()}
+    assert rows == expected
 
 
 def _settings_reads(tree) -> list:
