@@ -1,15 +1,20 @@
 """File formats: point sets, measures, fields, partitions, reports.
 
 Readers dispatch on the file extension (.csv / .json) and report parse
-problems with the offending line or atom index.  Writers emit floats with
-17 significant digits so every value round-trips to the identical double,
-and the JSON writer is fully deterministic: keys are sorted and the float
-format is fixed, so equal payloads produce byte-identical files.
+problems with the offending line or atom index; a CSV file is parsed whole
+in one conversion, and its lines are walked one by one only to name a
+fault.  Writers emit floats with 17 significant digits so every value
+round-trips to the identical double, and the JSON writer is fully
+deterministic: keys are sorted and the float format is fixed, so equal
+payloads produce byte-identical files.  Float arrays, CSV tables and
+partition regions are written whole, through one row template per array
+filled in a single ``%``, with the same bytes a value-by-value writer gives.
 """
 
 import hashlib
 import json
 import math
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +52,23 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fill(row: str, sep: str, table: np.ndarray) -> str:
+    """``row`` once per row of ``table``, joined by ``sep``, in one ``%``.
+
+    The ``%s`` slots of the copies take the table's values in order, each
+    as ``format_float`` writes it (``table`` holds no NaN).  Each distinct
+    bit pattern is formatted once, so ``-0.0`` and ``0.0`` stay apart.
+    """
+    values = np.ascontiguousarray(table, dtype=float).ravel()
+    bits, where = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
+    return sep.join([row] * len(table)) % tuple(texts[where].tolist())
+
+
+def _slots(count: int) -> str:
+    return ",".join(["%s"] * count)
+
+
 def json_dumps(obj) -> str:
     """Deterministic JSON: sorted keys, fixed float format, no whitespace drift."""
     pieces = []
@@ -80,6 +102,14 @@ def _append_json(obj, out: list):
             out.append(":")
             _append_json(obj[key], out)
         out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.dtype.names is not None:
+        _append_records(obj, out)
+    elif (
+        isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2)
+        and np.isfinite(obj).all()
+    ):
+        row = "%s" if obj.ndim == 1 else "[" + _slots(obj.shape[1]) + "]"
+        out.append("[" + _fill(row, ",", obj) + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -91,17 +121,49 @@ def _append_json(obj, out: list):
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def write_report_json(path, payload: dict) -> None:
-    Path(path).write_text(json_dumps(payload) + "\n")
+def _append_records(records: np.ndarray, out: list):
+    """A structured array as a list of objects, one per record, keys sorted.
 
-
-def _write_csv(path, header, rows) -> None:
-    """``header`` (if not None), then each row's cells through format_float.
-
-    Integer cells (indices, sizes) come out unchanged, as "12" not "12.0".
+    Finite float fields, each a scalar or a flat subarray, go through one
+    row template; any other record array is written value by value.
     """
+    names = sorted(records.dtype.names)
+    fields = [records.dtype[name] for name in names]
+    if names and all(f.base.kind == "f" and f.ndim <= 1 for f in fields):
+        table = np.column_stack([
+            records[name].reshape(len(records), math.prod(f.shape))
+            for name, f in zip(names, fields)
+        ])
+        if np.isfinite(table).all():
+            row = ",".join(
+                json.dumps(name).replace("%", "%%") + ":"
+                + ("%s" if f.ndim == 0 else "[" + _slots(f.shape[0]) + "]")
+                for name, f in zip(names, fields)
+            )
+            out.append("[" + _fill("{" + row + "}", ",", table) + "]")
+            return
+    _append_json([dict(zip(records.dtype.names, r)) for r in records.tolist()], out)
+
+
+def write_report_json(path, payload: dict) -> None:
+    text = json_dumps(payload)
+    with open(path, "w") as handle:
+        handle.write(text)
+        handle.write("\n")
+
+
+def _write_csv(path, header, table) -> None:
+    """``header`` (if not None), then one line per row of the 2-D ``table``.
+
+    Cells are written as format_float writes them: integer cells (indices,
+    sizes) come out as "12" not "12.0", and infinities as "inf".
+    """
+    table = np.asarray(table, dtype=float)
+    if np.isnan(table).any():
+        raise ValueError("cannot serialize NaN")
     lines = [] if header is None else [header]
-    lines.extend(",".join(map(format_float, row)) for row in rows)
+    if len(table):
+        lines.append(_fill(_slots(table.shape[1]), "\n", table))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -114,13 +176,50 @@ def _parse_error(path, line_no: int, message: str) -> ValueError:
     return ValueError(f"{path}, line {line_no}: {message}")
 
 
-def _csv_rows(path, expected_columns=None):
-    """Numeric rows of a CSV file, skipping blank and '#' comment lines.
+def _csv_table(path) -> np.ndarray:
+    """The numeric rows of a CSV file as one (rows, columns) float array.
 
-    Yields (line_number, list-of-floats); enforces a consistent column
-    count (the first data row fixes it unless ``expected_columns`` does).
+    Blank and '#' comment lines are skipped, ';' separates cells as ','
+    does, and empty cells are dropped.  Every row must have as many cells
+    as the first.  The rows are converted with ``float`` in blocks of
+    ``_CSV_BLOCK`` lines, which bounds the cell strings held at once; if
+    that fails, ``_name_csv_fault`` walks the lines to name the fault.
     """
-    width = expected_columns
+    try:
+        with open(path) as handle:
+            lines = handle.read().replace(";", ",").split("\n")
+        lines = [t for t in map(str.strip, lines) if t and t[0] != "#"]
+        if not lines:
+            return np.empty((0, 0))
+        blocks = [
+            _csv_block(lines[i:i + _CSV_BLOCK]) for i in range(0, len(lines), _CSV_BLOCK)
+        ]
+        widths = np.concatenate([w for _, w in blocks])
+        if (widths != widths[0]).any():
+            raise ValueError("ragged rows")
+        return np.concatenate([v for v, _ in blocks]).reshape(len(lines), widths[0])
+    except ValueError:
+        _name_csv_fault(path)
+        raise
+
+
+_CSV_BLOCK = 1 << 16
+
+
+def _csv_block(lines: list) -> tuple[np.ndarray, np.ndarray]:
+    """(cell values, cells per line) of stripped ','-separated data lines."""
+    cells = ",".join(lines).split(",")
+    widths = np.array([t.count(",") + 1 for t in lines])
+    filled = np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells))
+    if not filled.all():
+        widths = np.add.reduceat(filled.astype(int), np.cumsum(widths) - widths)
+        cells = list(compress(cells, filled))
+    return np.fromiter(map(float, cells), float, len(cells)), widths
+
+
+def _name_csv_fault(path) -> None:
+    """Raise the first fault of a CSV file, naming its line, if it has one."""
+    width = None
     with open(path) as handle:
         for line_no, raw in enumerate(handle, start=1):
             text = raw.strip()
@@ -137,7 +236,6 @@ def _csv_rows(path, expected_columns=None):
                 raise _parse_error(
                     path, line_no, f"expected {width} columns, found {len(row)}"
                 )
-            yield line_no, row
 
 
 def _csv_header_dim(path) -> int | None:
@@ -201,10 +299,9 @@ def read_points(path) -> np.ndarray:
                 f"coordinates"
             )
         return points
-    rows = [row for _, row in _csv_rows(path)]
-    if not rows:
+    points = _csv_table(path)
+    if not len(points):
         raise ValueError(f"{path}: no data rows")
-    points = np.asarray(rows, dtype=float)
     d = _csv_header_dim(path)
     if d is not None and points.shape[1] != d + 1:
         raise ValueError(
@@ -231,10 +328,9 @@ def read_measure(path) -> DiscreteSignedMeasure:
         points = _json_floats(path, doc, "points")
         weights = _json_floats(path, doc, "weights")
         return _named(path, DiscreteSignedMeasure, points, weights, label=str(path))
-    rows = [row for _, row in _csv_rows(path)]
-    if not rows:
+    table = _csv_table(path)
+    if not len(table):
         raise ValueError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=float)
     if table.shape[1] < 4:
         raise ValueError(
             f"{path}: measure rows need at least 4 columns "
@@ -296,18 +392,14 @@ def write_field_json(path, field: HarmonicField) -> None:
 
 
 def partition_payload(partition: Partition) -> dict:
-    return {
-        "d": partition.dim,
-        "n": partition.size,
-        "regions": [
-            {"area": a, "diameter": dm, "representative": rep}
-            for a, dm, rep in zip(
-                partition.areas.tolist(),
-                partition.diameters.tolist(),
-                partition.reps.tolist(),
-            )
-        ],
-    }
+    """The partition as a report: ``regions`` holds one record per cell."""
+    regions = np.empty(partition.size, dtype=[
+        ("area", float), ("diameter", float), ("representative", float, partition.dim + 1),
+    ])
+    regions["area"] = partition.areas
+    regions["diameter"] = partition.diameters
+    regions["representative"] = partition.reps
+    return {"d": partition.dim, "n": partition.size, "regions": regions}
 
 
 def write_partition_json(path, partition: Partition) -> None:
@@ -315,17 +407,19 @@ def write_partition_json(path, partition: Partition) -> None:
 
 
 def write_profile_csv(path, values) -> None:
-    _write_csv(path, "node_index,value", enumerate(np.asarray(values, dtype=float)))
+    values = np.asarray(values, dtype=float)
+    _write_csv(path, "node_index,value", np.column_stack([np.arange(len(values)), values]))
 
 
 def write_expansion_csv(path, expansion: FieldExpansion) -> None:
     coeffs = expansion.coeffs
-    rows = ((k, l, c) for k, row in enumerate(coeffs) for l, c in enumerate(row))
-    _write_csv(path, "charge_index,l,coefficient", rows)
+    k, l = np.indices(coeffs.shape)
+    table = np.column_stack([k.ravel(), l.ravel(), coeffs.ravel()])
+    _write_csv(path, "charge_index,l,coefficient", table)
 
 
 def write_scaling_csv(path, rows) -> None:
     """Scaling-study rows (``ScalingRow``) as CSV, one line per size n."""
     columns = ("n", "mesh_norm", "partition_norm", "measured_sup", "bound")
-    table = ([getattr(row, c) for c in columns] for row in rows)
-    _write_csv(path, ",".join(columns), table)
+    table = [[getattr(row, c) for c in columns] for row in rows]
+    _write_csv(path, ",".join(columns), np.reshape(table, (-1, len(columns))))

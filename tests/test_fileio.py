@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spherekh import fileio
 from spherekh.fileio import (
     file_digest,
     format_float,
@@ -267,3 +268,189 @@ def test_file_digest_stable(tmp_path):
     assert file_digest(a) == file_digest(b)
     b.write_text("bye\n")
     assert file_digest(a) != file_digest(b)
+
+
+def _per_value_json(obj) -> str:
+    """JSON as the value-by-value writer wrote it: one format_float per float."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        return format_float(x)
+    if isinstance(obj, dict):
+        return "{" + ",".join(
+            json.dumps(key) + ":" + _per_value_json(obj[key]) for key in sorted(obj)
+        ) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ",".join(map(_per_value_json, obj)) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _per_value_csv(header, rows) -> str:
+    lines = [] if header is None else [header]
+    lines.extend(",".join(map(format_float, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 12.0, -3.0, 2.0**53 + 2, 1e16, 1e17, 0.1, -1 / 3,
+    math.inf, -math.inf,
+]
+
+
+def _oracle_arrays():
+    rng = np.random.default_rng(28)
+    special = np.array(_SPECIAL)
+    finite = special[np.isfinite(special)]
+    spread = rng.standard_normal(60) * 10.0 ** rng.integers(-300, 300, 60)
+    return [
+        special, finite, finite.reshape(2, 7), special.reshape(4, 4), special.reshape(2, 2, 4),
+        np.empty(0), np.empty((0, 3)), np.empty((3, 0)), spread, spread.reshape(20, 3),
+        rng.standard_normal(30).astype(np.float32), np.repeat(finite, 3)[rng.permutation(42)],
+        np.arange(-3, 9), np.arange(12).reshape(3, 4), np.array([2**62, -(2**62)]),
+    ]
+
+
+def test_bulk_json_matches_per_value_writer():
+    for values in _oracle_arrays():
+        assert json_dumps(values) == _per_value_json(values), values
+        payload = {"v": values, "rows": [values, {"k": values}]}
+        assert json_dumps(payload) == _per_value_json(payload)
+    records = np.zeros(5, dtype=[("b", float), ("a", float, 3), ("%c", float)])
+    records["a"] = np.array(_SPECIAL[:15]).reshape(5, 3)
+    records["b"] = [-0.0, 5e-324, 1.0, 12.0, 0.1]
+    as_dicts = [{"b": r[0], "a": r[1].tolist(), "%c": r[2]} for r in records.tolist()]
+    assert json_dumps(records) == _per_value_json(as_dicts)
+    records["b"][2] = -math.inf
+    as_dicts[2]["b"] = -math.inf
+    assert json_dumps(records) == _per_value_json(as_dicts)
+
+
+def test_bulk_csv_matches_per_value_writer(tmp_path):
+    path = tmp_path / "t.csv"
+    for values in _oracle_arrays():
+        if values.ndim != 2:
+            continue
+        for dim in (None, 2):
+            write_points_csv(path, values, dim=dim)
+            header = None if dim is None else f"# d={dim}"
+            assert path.read_text() == _per_value_csv(header, values.astype(float))
+    write_profile_csv(path, _SPECIAL)
+    assert path.read_text() == _per_value_csv("node_index,value", enumerate(_SPECIAL))
+
+
+@pytest.mark.parametrize("shape, at", [((5,), 0), ((5,), 4), ((3, 4), 7), ((3, 4), 11)])
+def test_bulk_writers_refuse_nan_anywhere(tmp_path, shape, at):
+    values = np.arange(np.prod(shape), dtype=float)
+    values[at] = math.nan
+    values = values.reshape(shape)
+    with pytest.raises(ValueError, match="cannot serialize NaN"):
+        json_dumps({"v": values})
+    if len(shape) == 2:
+        with pytest.raises(ValueError, match="cannot serialize NaN"):
+            write_points_csv(tmp_path / "nan.csv", values)
+
+
+def test_bool_arrays_are_not_json():
+    for values in (np.array([True, False]), np.ones((2, 2), dtype=bool)):
+        with pytest.raises(TypeError):
+            json_dumps(values)
+
+
+def test_report_json_ends_in_one_newline(tmp_path):
+    path = tmp_path / "r.json"
+    payload = {"x": np.array([0.1, -0.0]), "n": 3}
+    write_report_json(path, payload)
+    assert path.read_text() == _per_value_json(payload) + "\n"
+
+
+def _line_reader(path):
+    """Points as the line-by-line CSV reader gave them, or its error message."""
+    width, rows = None, []
+    with open(path) as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
+            try:
+                row = [float(p) for p in parts]
+            except ValueError:
+                return f"{path}, line {line_no}: non-numeric entry in {text!r}"
+            width = len(row) if width is None else width
+            if len(row) != width:
+                return f"{path}, line {line_no}: expected {width} columns, found {len(row)}"
+            rows.append(row)
+    if not rows:
+        return f"{path}: no data rows"
+    points = np.asarray(rows, dtype=float)
+    with open(path) as handle:
+        first = handle.readline().strip()
+    if first.startswith("#") and "d=" in first:
+        try:
+            d = int(first.split("d=")[1].split()[0])
+        except ValueError:
+            return f"{path}, line 1: malformed dimension header {first!r}"
+        if points.shape[1] != d + 1:
+            return f"{path}: header says d={d} but rows have {points.shape[1]} columns"
+    return points
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1,0,0\n0,0.6,0.8\n",
+        "1;0;0\n0;0.6;0.8\n",
+        "1;0,0\n0,0.6;0.8",
+        "1,0,0,\n0,0.6,0.8;\n",
+        "1,,0,0\n, 0 ,0.6, ,0.8\n",
+        "1,0,0\r\n0,0.6,0.8\r\n",
+        "1,0,0\r0,0.6,0.8\r",
+        "# d=2\n\n1,0,0\n   \n# note, 1\n\t0 , 0.6 ,0.8 \n",
+        "1_0,-0,inf\nnan,-INF,１\n",
+        "-0.0,5e-324,1e999\n",
+        ",\n;\n",
+        "# only a comment\n\n",
+        "# d=3\n1,0,0\n",
+        "# d=x\n1,0,0\n",
+        "1,0,0\n# c\n0,x,1\n",
+        "1,0,0\n0,0.6\n0,x,1\n",
+        "1,0,0\n0,0.6,y\n0,1\n",
+        "1,0,0\n\n0,0.6,0.8,1\n",
+        "1 0 0\n",
+        "0x10,0,0\n",
+    ],
+)
+@pytest.mark.parametrize("block", [1, 2, 1 << 16])
+def test_csv_reader_matches_line_reader(tmp_path, monkeypatch, text, block):
+    monkeypatch.setattr(fileio, "_CSV_BLOCK", block)
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(text.encode())
+    expected = _line_reader(path)
+    try:
+        got = read_points(path)
+    except ValueError as exc:
+        got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_csv_measure_reader_matches_line_reader(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("# d=2\n1;0;0;0.5\n\n0, 0.6 ,0.8,,-0.25\r\n")
+    m = read_measure(path)
+    assert m.points.tobytes() == np.array([[1, 0, 0], [0, 0.6, 0.8]]).tobytes()
+    assert m.weights.tobytes() == np.array([0.5, -0.25]).tobytes()
+    path.write_text("1,0,0,0.5\n0,0.6,0.8,w\n")
+    message = r"m\.csv, line 2: non-numeric entry in '0,0\.6,0\.8,w'"
+    with pytest.raises(ValueError, match=message):
+        read_measure(path)

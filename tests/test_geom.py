@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial import ConvexHull
 from scipy.special import betainc
 
-from spherekh.fileio import json_dumps, partition_payload
+from spherekh.fileio import json_dumps, partition_payload, write_partition_json
 from spherekh.geom import (
     PartitionMatchError,
     Scattering,
@@ -445,22 +445,30 @@ def _reference_cells(part):
 
 @pytest.mark.parametrize(
     "dim, n",
-    [(2, 1), (2, 2), (2, 3), (2, 50), (2, 44800), (3, 500), (3, 10000), (4, 2000), (5, 700)],
+    [
+        (2, 1), (2, 2), (2, 3), (2, 50), (2, 44800), (2, 100_500), (3, 500), (3, 10000),
+        (4, 1), (4, 2), (4, 3), (4, 2000), (5, 1), (5, 2), (5, 3), (5, 700),
+    ],
 )
-def test_partition_arrays_match_per_cell_reference(dim, n):
+def test_partition_arrays_match_per_cell_reference(dim, n, tmp_path):
     part = equal_area_partition(dim, n)
     cells = _reference_cells(part)
     assert np.array_equal(part.areas, np.array([c[0] for c in cells]))
     assert np.array_equal(part.diameters, np.array([c[1] for c in cells]))
     assert np.array_equal(part.reps, np.array([c[2] for c in cells]))
-    reference = {
+    # plain floats and lists, so the reference is written value by value
+    reference = json_dumps({
         "d": dim,
         "n": n,
         "regions": [
-            {"area": a, "diameter": dm, "representative": r} for a, dm, r in cells
+            {"area": float(a), "diameter": float(dm), "representative": r.tolist()}
+            for a, dm, r in cells
         ],
-    }
-    assert json_dumps(partition_payload(part)) == json_dumps(reference)
+    })
+    assert json_dumps(partition_payload(part)) == reference
+    path = tmp_path / "part.json"
+    write_partition_json(path, part)
+    assert path.read_text() == reference + "\n"
 
 
 def _check_merged_against_pairwise(sc):
