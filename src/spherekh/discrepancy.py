@@ -268,11 +268,11 @@ def difference_measure(
         raise ValueError(
             f"dimension mismatch: quadrature on S^{mu.dim}, rule on S^{nu.dim}"
         )
-    points = np.vstack([mu.nodes, nu.points])
+    points = np.vstack([mu.points, nu.points])
     weights = np.concatenate([mu.weights, -nu.weights])
     merged, inverse = np.unique(points, axis=0, return_inverse=True)
     combined = np.bincount(inverse.ravel(), weights=weights, minlength=len(merged))
-    return DiscreteSignedMeasure(merged, combined, label="difference")
+    return DiscreteSignedMeasure(merged, combined)
 
 
 def quadrature_error_bound(
@@ -293,7 +293,7 @@ def quadrature_error_bound(
 
 def partition_weights(mu: QuadratureMeasure, partition) -> np.ndarray:
     """Region masses of ``mu``: the weight a rule gives each representative."""
-    idx = partition.region_index(mu.nodes)
+    idx = partition.region_index(mu.points)
     return np.bincount(idx, weights=mu.weights, minlength=partition.size)
 
 

@@ -176,31 +176,41 @@ def _parse_error(path, line_no: int, message: str) -> ValueError:
     return ValueError(f"{path}, line {line_no}: {message}")
 
 
-def _csv_table(path) -> np.ndarray:
-    """The numeric rows of a CSV file as one (rows, columns) float array.
+def _csv_table(path) -> tuple[np.ndarray, int | None]:
+    """The numeric rows of a CSV file as one (rows, columns) float array,
+    and the d of a '# d=' first line, or None without one.
 
     Blank and '#' comment lines are skipped, ';' separates cells as ','
     does, and empty cells are dropped.  Every row must have as many cells
     as the first.  The rows are converted with ``float`` in blocks of
     ``_CSV_BLOCK`` lines, which bounds the cell strings held at once; if
-    that fails, ``_name_csv_fault`` walks the lines to name the fault.
+    that fails, ``_name_csv_fault`` walks the lines to name the fault.  A
+    file without rows has no d.
     """
     try:
         with open(path) as handle:
+            first = handle.readline().strip()
+            handle.seek(0)
             lines = handle.read().replace(";", ",").split("\n")
         lines = [t for t in map(str.strip, lines) if t and t[0] != "#"]
         if not lines:
-            return np.empty((0, 0))
+            return np.empty((0, 0)), None
         blocks = [
             _csv_block(lines[i:i + _CSV_BLOCK]) for i in range(0, len(lines), _CSV_BLOCK)
         ]
         widths = np.concatenate([w for _, w in blocks])
         if (widths != widths[0]).any():
             raise ValueError("ragged rows")
-        return np.concatenate([v for v, _ in blocks]).reshape(len(lines), widths[0])
+        table = np.concatenate([v for v, _ in blocks]).reshape(len(lines), widths[0])
     except ValueError:
         _name_csv_fault(path)
         raise
+    if not (first.startswith("#") and "d=" in first):
+        return table, None
+    try:
+        return table, int(first.split("d=")[1].split()[0])
+    except ValueError:
+        raise _parse_error(path, 1, f"malformed dimension header {first!r}") from None
 
 
 _CSV_BLOCK = 1 << 16
@@ -238,17 +248,6 @@ def _name_csv_fault(path) -> None:
                 )
 
 
-def _csv_header_dim(path) -> int | None:
-    with open(path) as handle:
-        first = handle.readline().strip()
-    if first.startswith("#") and "d=" in first:
-        try:
-            return int(first.split("d=")[1].split()[0])
-        except ValueError:
-            raise _parse_error(path, 1, f"malformed dimension header {first!r}")
-    return None
-
-
 def _named(path, build, *args, **kwargs):
     """``build(*args, **kwargs)``, naming ``path`` in any ValueError it raises."""
     try:
@@ -284,12 +283,18 @@ def _json_dim(path: Path, value) -> int:
     return value
 
 
-def read_points(path) -> np.ndarray:
-    """Point rows from a CSV (d+1 columns) or JSON {"d":…, "points":…} file."""
+def _read_atoms(path, weighted: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Coordinate rows, and the weights if ``weighted``, of a point or measure file.
+
+    JSON holds "points" (and "weights") and may declare "d"; CSV rows are
+    x_0,…,x_d (then the weight) and may follow a '# d=' header.  A declared
+    d must match the coordinates of the rows.
+    """
     path = Path(path)
     if path.suffix == ".json":
         doc = _json_object(path)
         points = _json_floats(path, doc, "points")
+        weights = _json_floats(path, doc, "weights") if weighted else None
         if points.ndim != 2:
             raise ValueError(f"{path}: points must be a list of coordinate rows")
         d = _json_dim(path, doc.get("d", points.shape[1] - 1))
@@ -298,16 +303,26 @@ def read_points(path) -> np.ndarray:
                 f"{path}: declared d={d} but rows have {points.shape[1]} "
                 f"coordinates"
             )
-        return points
-    points = _csv_table(path)
-    if not len(points):
+        return points, weights
+    table, d = _csv_table(path)
+    if not len(table):
         raise ValueError(f"{path}: no data rows")
-    d = _csv_header_dim(path)
+    if weighted and table.shape[1] < 4:
+        raise ValueError(
+            f"{path}: measure rows need at least 4 columns "
+            f"(x_0,…,x_d,weight), found {table.shape[1]}"
+        )
+    points, weights = (table[:, :-1], table[:, -1]) if weighted else (table, None)
     if d is not None and points.shape[1] != d + 1:
         raise ValueError(
-            f"{path}: header says d={d} but rows have {points.shape[1]} columns"
+            f"{path}: header says d={d} but rows have {table.shape[1]} columns"
         )
-    return points
+    return points, weights
+
+
+def read_points(path) -> np.ndarray:
+    """Point rows from a CSV (d+1 columns) or JSON {"d":…, "points":…} file."""
+    return _read_atoms(path, weighted=False)[0]
 
 
 def write_points_csv(path, points, dim: int | None = None) -> None:
@@ -322,28 +337,14 @@ def write_points_json(path, points, dim: int) -> None:
 
 def read_measure(path) -> DiscreteSignedMeasure:
     """Signed atomic measure from CSV rows x_0,…,x_d,weight or JSON."""
-    path = Path(path)
-    if path.suffix == ".json":
-        doc = _json_object(path)
-        points = _json_floats(path, doc, "points")
-        weights = _json_floats(path, doc, "weights")
-        return _named(path, DiscreteSignedMeasure, points, weights, label=str(path))
-    table = _csv_table(path)
-    if not len(table):
-        raise ValueError(f"{path}: no data rows")
-    if table.shape[1] < 4:
-        raise ValueError(
-            f"{path}: measure rows need at least 4 columns "
-            f"(x_0,…,x_d,weight), found {table.shape[1]}"
-        )
-    points, weights = table[:, :-1], table[:, -1]
-    return _named(path, DiscreteSignedMeasure, points, weights, label=str(path))
+    points, weights = _read_atoms(path, weighted=True)
+    return _named(Path(path), DiscreteSignedMeasure, points, weights)
 
 
-def write_measure_csv(path, measure) -> None:
-    """Write a signed or quadrature measure as CSV rows x_0,…,x_d,weight."""
-    support = measure.points if hasattr(measure, "points") else measure.nodes
-    _write_csv(path, f"# d={measure.dim}", np.column_stack([support, measure.weights]))
+def write_measure_csv(path, measure: DiscreteSignedMeasure) -> None:
+    """Write a measure as CSV rows x_0,…,x_d,weight."""
+    table = np.column_stack([measure.points, measure.weights])
+    _write_csv(path, f"# d={measure.dim}", table)
 
 
 def read_field(path) -> HarmonicField:

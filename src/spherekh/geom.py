@@ -99,19 +99,13 @@ def _validated_sphere_points(points, what: str) -> np.ndarray:
 
 
 def _thread_count() -> int:
-    """Worker count of kernel sums and KD-tree queries: SPHERE_KH_THREADS.
+    """Worker count of kernel sums and KD-tree queries: the usable CPUs.
 
-    The default, also for a value that is not an integer, is the number of
-    CPUs this process may run on.
+    ``taskset`` or a cgroup CPU set narrows the count.
     """
     if hasattr(os, "sched_getaffinity"):
-        default = len(os.sched_getaffinity(0))
-    else:
-        default = os.cpu_count() or 1
-    try:
-        return max(1, int(os.environ.get("SPHERE_KH_THREADS", default)))
-    except ValueError:
-        return default
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -123,7 +117,6 @@ class Scattering:
     """
 
     points: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.points = _validated_sphere_points(self.points, "scattering")
@@ -149,7 +142,7 @@ class Scattering:
         distinct already.
         """
         subset = cls.__new__(cls)
-        subset.points, subset.label = scattering.points[index], scattering.label
+        subset.points = scattering.points[index]
         return subset
 
     @cached_property

@@ -1,18 +1,19 @@
 """Signed measures on the sphere and their Newtonian potentials.
 
-Measures are finite sums of atoms (signed) or positive quadrature nodes; the
-Newtonian kernel is the harmonic one for R^(d+1), |x - y|^(1-d).  Degree-wise
-information about an atomic measure is held zonally per atom: the degree-l
-component of a unit atom against the addition-formula kernel has coefficient
-one, so coefficient sequences live in ZonalCoefficients with a pole, and the
+A measure is a finite signed sum of atoms; a quadrature rule is the
+positive case, which adds only its exactness degree.  The Newtonian kernel
+is the harmonic one for R^(d+1), |x - y|^(1-d).  Degree-wise information
+about an atomic measure is held zonally per atom: the degree-l component of
+a unit atom against the addition-formula kernel has coefficient one, so
+coefficient sequences live in ZonalCoefficients with a pole, and the
 inward sweep onto a shell is a per-degree geometric rescaling.
 
 Kernel sums share their target rows out among ``geom._thread_count()``
-workers (SPHERE_KH_THREADS, default the CPUs this process may run on).
-While a sum runs, numpy's bundled OpenBLAS is held at one thread: its own
-threads gain nothing on these small block products and would serialise
-the workers.  Every row runs the same single-threaded calls whichever
-worker takes it, so the values do not depend on the worker count.
+workers, one per CPU this process may run on.  While a sum runs, numpy's
+bundled OpenBLAS is held at one thread: its own threads gain nothing on
+these small block products and would serialise the workers.  Every row
+runs the same single-threaded calls whichever worker takes it, so the
+values do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class DiscreteSignedMeasure:
 
     points: np.ndarray
     weights: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.points = _validated_sphere_points(self.points, "measure support")
@@ -108,52 +108,41 @@ class DiscreteSignedMeasure:
         keep = self.weights > 0
         if not np.any(keep):
             raise ValueError("measure has no positive part")
-        return DiscreteSignedMeasure(self.points[keep], self.weights[keep], self.label)
+        return DiscreteSignedMeasure(self.points[keep], self.weights[keep])
 
     def negative_part(self) -> "DiscreteSignedMeasure":
         keep = self.weights < 0
         if not np.any(keep):
             raise ValueError("measure has no negative part")
-        return DiscreteSignedMeasure(self.points[keep], -self.weights[keep], self.label)
+        return DiscreteSignedMeasure(self.points[keep], -self.weights[keep])
 
     def scaled(self, factor: float) -> "DiscreteSignedMeasure":
-        return DiscreteSignedMeasure(self.points, factor * self.weights, self.label)
+        return DiscreteSignedMeasure(self.points, factor * self.weights)
 
 
 @dataclass
-class QuadratureMeasure:
-    """Positive nodes-and-weights measure on the unit sphere.
+class QuadratureMeasure(DiscreteSignedMeasure):
+    """Positive measure on the unit sphere: a quadrature rule.
 
     The surface-measure factory produces weights summing to the sphere area;
     `normalized` copies rescale to unit mass for probability surrogates.
-    ``degree`` records the polynomial exactness when known.
+    ``degree`` records the polynomial exactness when known, and ``nodes``
+    is the support under its quadrature name.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
     degree: int | None = None
-    label: str = ""
 
     def __post_init__(self):
-        self.nodes = _validated_sphere_points(self.nodes, "quadrature nodes")
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 1 or len(self.weights) != len(self.nodes):
-            raise ValueError("weights must be a vector aligned with the nodes")
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive and finite")
+        super().__post_init__()
+        if np.any(self.weights <= 0):
+            raise ValueError("quadrature weights must be positive")
 
     @property
-    def dim(self) -> int:
-        return self.nodes.shape[1] - 1
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
+    def nodes(self) -> np.ndarray:
+        return self.points
 
     def normalized(self) -> "QuadratureMeasure":
-        return QuadratureMeasure(
-            self.nodes, self.weights / self.mass, self.degree, self.label
-        )
+        return QuadratureMeasure(self.points, self.weights / self.mass, self.degree)
 
 
 def _circle_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,21 +182,12 @@ def sphere_surface_quadrature(dim: int, degree: int) -> QuadratureMeasure:
     return QuadratureMeasure(nodes, weights, degree=degree)
 
 
-def _support(measure) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(measure, DiscreteSignedMeasure):
-        return measure.points, measure.weights
-    if isinstance(measure, QuadratureMeasure):
-        return measure.nodes, measure.weights
-    raise TypeError(f"not a measure: {type(measure).__name__}")
-
-
-def potential_values(measure, targets) -> np.ndarray:
+def potential_values(measure: DiscreteSignedMeasure, targets) -> np.ndarray:
     """Newtonian potential of the measure at each target point (vectorized).
 
     Targets may lie anywhere except within 1e-12 of an atom.
     """
-    pts, w = _support(measure)
-    return _kernel_sum(pts, w, targets, pts.shape[1] - 2)
+    return _kernel_sum(measure.points, measure.weights, targets, measure.dim - 1)
 
 
 @cache

@@ -115,13 +115,7 @@ def legendre(dim: int, degree: int, t):
     binom(l+dim-2, l).  Arguments must lie in [-1, 1]; roundoff overshoot
     up to 1e-12 is clipped, anything larger is rejected.
     """
-    dim = _check_dim(dim)
-    degree = _check_degree(degree)
-    arr = _clip_domain(t)
-    scalar = arr.ndim == 0
-    rows = _gegenbauer_rows(dim, degree, np.atleast_1d(arr))
-    val = rows[degree] / math.comb(degree + dim - 2, degree)
-    return float(val[0]) if scalar else val
+    return gegenbauer(dim, degree, t) / math.comb(degree + dim - 2, degree)
 
 
 def legendre_table(dim: int, max_degree: int, t) -> np.ndarray:

@@ -197,6 +197,9 @@ _MALFORMED = [
         id="field-d-disagrees",
     ),
     pytest.param(
+        "sigma", '{"d": 3, "points": [[1, 0, 0]], "weights": [1]}', id="sigma-d-disagrees"
+    ),
+    pytest.param(
         "field", '{"charges": [{"location": [1.5, 0, 0], "strength": 1}]}', id="field-outside"
     ),
     pytest.param("points", '{"points": [[1, 0, 0], [0, 1.1, 0]]}', id="points-off-sphere"),

@@ -454,3 +454,6 @@ def test_csv_measure_reader_matches_line_reader(tmp_path):
     message = r"m\.csv, line 2: non-numeric entry in '0,0\.6,0\.8,w'"
     with pytest.raises(ValueError, match=message):
         read_measure(path)
+    path.write_text("# d=3\n1,0,0,0.5\n")
+    with pytest.raises(ValueError, match=r"m\.csv: header says d=3 but rows have 4 columns"):
+        read_measure(path)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial import ConvexHull
 from scipy.special import betainc
 
+from spherekh import geom, measures
 from spherekh.fileio import json_dumps, partition_payload, write_partition_json
 from spherekh.geom import (
     PartitionMatchError,
@@ -199,13 +200,19 @@ def test_mesh_norm_of_partition_centers_below_norm():
     assert est.value <= partition_norm(part)
 
 
+def _use_workers(monkeypatch, workers):
+    """Run kernel sums and KD-tree queries on ``workers`` threads."""
+    for module in (geom, measures):
+        monkeypatch.setattr(module, "_thread_count", lambda: workers)
+
+
 def test_mesh_norm_threads_agree(monkeypatch):
     rng = np.random.default_rng(21)
     sc = Scattering(random_points(2, 200, rng))
-    monkeypatch.setenv("SPHERE_KH_THREADS", "1")
+    _use_workers(monkeypatch, 1)
     plain = mesh_norm(sc, resolution=1024)
-    for workers in ("2", "4"):
-        monkeypatch.setenv("SPHERE_KH_THREADS", workers)
+    for workers in (2, 4):
+        _use_workers(monkeypatch, workers)
         assert mesh_norm(sc, resolution=1024) == plain
 
 
@@ -214,8 +221,8 @@ def test_reduction_does_not_depend_on_workers(monkeypatch):
     # split it among its workers
     sc = Scattering(random_points(2, 6000, np.random.default_rng(22)))
     results = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("SPHERE_KH_THREADS", workers)
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
         results.append((mesh_norm(sc), reduce_scattering(sc)))
     (norm_1, one), (norm_2, two) = results
     assert norm_1 == norm_2
@@ -227,17 +234,12 @@ def test_reduction_does_not_depend_on_workers(monkeypatch):
     assert one.partition_norm == two.partition_norm
 
 
-@pytest.mark.parametrize("value, expected", [(None, None), ("3", 3), ("0", 1), ("x", None)])
-def test_thread_count_defaults_to_usable_cpus(monkeypatch, value, expected):
+def test_thread_count_defaults_to_usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count()
-    if value is None:
-        monkeypatch.delenv("SPHERE_KH_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SPHERE_KH_THREADS", value)
-    assert _thread_count() == (expected or cpus)
+    assert _thread_count() == cpus
 
 
 def _reference_max_min_distance(samples, points):
@@ -672,4 +674,3 @@ def test_reduction_validates_the_input_once(monkeypatch):
     # the wrapped subset is what validation would have returned
     again = Scattering(result.scattering.points)
     assert np.array_equal(again.points, result.scattering.points)
-    assert again.label == result.scattering.label == sc.label

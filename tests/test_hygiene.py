@@ -158,9 +158,9 @@ def _settings_reads(tree) -> list:
 
 
 def test_no_new_settings():
-    # SPHERE_KH_THREADS is the one setting read from the environment, and
-    # ctypes only reaches numpy's OpenBLAS
-    allowed = {("geom", "_thread_count", "os.environ"), ("measures", "_openblas", "ctypes")}
+    # no setting is read from the environment, and ctypes only reaches
+    # numpy's OpenBLAS
+    allowed = {("measures", "_openblas", "ctypes")}
     found = {
         (path.stem, function, what)
         for path in MODULES

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spherekh import measures
+from spherekh import geom, measures
 from spherekh.discrepancy import (
     _rule_error_measure,
     difference_measure,
@@ -72,6 +72,7 @@ def test_measure_validation_errors():
         DiscreteSignedMeasure(np.eye(3), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         QuadratureMeasure(np.eye(3), np.array([1.0, -1.0, 1.0]))
+    assert QuadratureMeasure(np.eye(3), np.ones(3), 30).degree == 30
 
 
 @pytest.mark.parametrize("dim,degree", [(2, 0), (2, 17), (2, 50), (3, 24), (4, 12)])
@@ -79,6 +80,11 @@ def test_quadrature_mass(dim, degree):
     q = sphere_surface_quadrature(dim, degree)
     assert_allclose(q.mass, surface_area(dim), rtol=1e-13)
     assert_allclose(q.normalized().mass, 1.0, rtol=1e-13)
+    # a quadrature is a positive signed measure, and its nodes are its atoms
+    assert isinstance(q, DiscreteSignedMeasure) and q.nodes is q.points
+    targets = 0.5 * random_points(dim, 7, degree)
+    plain = DiscreteSignedMeasure(q.points, q.weights)
+    assert potential_values(q, targets).tobytes() == potential_values(plain, targets).tobytes()
 
 
 def test_quadrature_kills_low_degree_zonal_harmonics():
@@ -463,7 +469,8 @@ _SHARED_SUMS = [(2, 300, 1000), (3, 5000, 167), (4, 4500, 101), (5, 200, 3001),
 
 
 def _kernel_sum_at(monkeypatch, workers, *args):
-    monkeypatch.setenv("SPHERE_KH_THREADS", str(workers))
+    for module in (geom, measures):
+        monkeypatch.setattr(module, "_thread_count", lambda: workers)
     return measures._kernel_sum(*args)
 
 
