@@ -35,9 +35,7 @@ from .measures import (
     ShellConfig,
     SingularityError,
     sphere_surface_quadrature,
-    newtonian_potential,
     potential_values,
-    potential_on_shell,
     shell_norm,
     conjugate_exponent,
     zonal_coefficients_of_atom,

@@ -18,9 +18,9 @@ from .discrepancy import (
     AdmissibleWindowError,
     GateConditionError,
     _check_inner,
+    _rule_bound,
     duality_bound,
     kh_identity,
-    partition_rule_bound,
     partition_weights,
     quadrature_error_bound,
     reduction_pipeline,
@@ -257,9 +257,9 @@ def _run_thm4a(config) -> int:
         part, Scattering(representatives(part))
     )
     mu = sphere_surface_quadrature(config.d, config.mu_degree)
-    report = partition_rule_bound(mu, matched, config.r, mu)
-    mass = float(partition_weights(mu, matched).sum())
-    _emit(config, {}, n=config.n, rule_mass=mass, result=report.to_dict())
+    weights = partition_weights(mu, matched)
+    report = _rule_bound(mu, matched, weights, config.r, mu)
+    _emit(config, {}, n=config.n, rule_mass=float(weights.sum()), result=report.to_dict())
     return 0 if report.measured_sup <= report.bound + 1e-9 else 1
 
 

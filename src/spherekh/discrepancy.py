@@ -13,7 +13,7 @@ method yields JSON-ready values; nothing here touches the filesystem.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .measures import (
     DiscreteSignedMeasure,
     QuadratureMeasure,
     ShellConfig,
+    _azimuth_period,
     _one_blas_thread,
     conjugate_exponent,
     potential_values,
@@ -297,14 +298,18 @@ def partition_weights(mu: QuadratureMeasure, partition) -> np.ndarray:
     return np.bincount(idx, weights=mu.weights, minlength=partition.size)
 
 
-def _rule_error_measure(
-    mu: QuadratureMeasure, matched: Partition
-) -> DiscreteSignedMeasure:
-    weights = partition_weights(mu, matched)
-    # a region holding no node of mu adds only zero terms to the probe sums
+def _rule_error_profile(mu, partition, weights, r, probe) -> np.ndarray:
+    """U_mu - U_nu at r times each probe node; nu puts weights[c] on region c.
+
+    A region holding no node of mu adds only zero terms, so it is left out.
+    When mu and the probe share an azimuth period q, U_mu takes one value
+    on each run of q probe nodes, so it is summed at the run's first node.
+    """
     keep = weights != 0
-    nu = DiscreteSignedMeasure(matched.reps[keep], weights[keep])
-    return difference_measure(mu, nu)
+    nu = DiscreteSignedMeasure(partition.reps[keep], weights[keep])
+    q = period if (period := _azimuth_period(mu)) == _azimuth_period(probe) else 1
+    targets = r * probe.nodes
+    return np.repeat(potential_values(mu, targets[::q]), q) - potential_values(nu, targets)
 
 
 def partition_rule_bound(
@@ -325,8 +330,12 @@ def partition_rule_bound(
             f"dimension mismatch: quadrature on S^{mu.dim}, partition on "
             f"S^{matched.dim}"
         )
-    sigma = _rule_error_measure(mu, matched)
-    profile = potential_values(sigma, r * quad.nodes)
+    return _rule_bound(mu, matched, partition_weights(mu, matched), r, quad)
+
+
+def _rule_bound(mu, matched, weights, r, quad) -> PartitionSupReport:
+    """partition_rule_bound given the rule weights partition_weights(mu, matched)."""
+    profile = _rule_error_profile(mu, matched, weights, r, quad)
     measured = float(np.max(np.abs(profile)))
     pnorm = partition_norm(matched)
     d = mu.dim
@@ -398,21 +407,16 @@ def reduction_pipeline(
         )
     # 8/9 of the window, so reports keep the radius and bound of schema 1
     radius = r0 + (r_upper - r0) * 8 / 9.0
-    sigma = _rule_error_measure(mu, reduction.partition)
-    probe = sphere_surface_quadrature(d, 40)
-    measured = float(np.max(np.abs(potential_values(sigma, radius * probe.nodes))))
-    bound = (d - 1) * mu.mass * pnorm / (1.0 - radius) ** (d + 1)
-    return PartitionSupReport(
-        measured_sup=measured,
-        bound=bound,
-        partition_norm=pnorm,
+    part, probe = reduction.partition, sphere_surface_quadrature(d, 40)
+    rule = _rule_bound(mu, part, partition_weights(mu, part), radius, probe)
+    return replace(
+        rule,
         mesh_norm_interval=(estimate.lower, estimate.upper),
         epsilon=epsilon,
-        radius=radius,
         r_admissible_upper=r_upper,
         gate_quotient=gate_quotient,
         window_quotient=window_quotient,
-        within_epsilon=bool(measured <= epsilon),
+        within_epsilon=bool(rule.measured_sup <= epsilon),
     )
 
 

@@ -28,8 +28,6 @@ __all__ = [
     "MeshNormEstimate",
     "ReductionResult",
     "PartitionMatchError",
-    "unit_vector",
-    "euclidean_distance",
     "random_points",
     "equal_area_partition",
     "partition_norm",
@@ -47,19 +45,6 @@ _MIN_SEPARATION = 1e-9
 
 class PartitionMatchError(ValueError):
     """A partition and a scattering fail the one-point-per-region pairing."""
-
-
-def unit_vector(v) -> np.ndarray:
-    """Return v rescaled to unit length, rejecting near-zero vectors."""
-    arr = np.asarray(v, dtype=float)
-    nrm = float(np.linalg.norm(arr))
-    if nrm < 1e-12:
-        raise ValueError("cannot normalize a near-zero vector")
-    return arr / nrm
-
-
-def euclidean_distance(x, y) -> float:
-    return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
 
 
 def random_points(dim: int, count: int, rng) -> np.ndarray:

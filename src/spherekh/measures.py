@@ -37,9 +37,7 @@ __all__ = [
     "ZonalCoefficients",
     "SingularityError",
     "sphere_surface_quadrature",
-    "newtonian_potential",
     "potential_values",
-    "potential_on_shell",
     "shell_norm",
     "conjugate_exponent",
     "zonal_coefficients_of_atom",
@@ -172,7 +170,10 @@ def sphere_surface_quadrature(dim: int, degree: int) -> QuadratureMeasure:
     """Product quadrature on S^dim exact for polynomials up to ``degree``.
 
     Gauss nodes against the latitude weight times a uniform azimuth grid,
-    applied recursively; weights sum to the surface area.
+    applied recursively; weights sum to the surface area.  The azimuth
+    index is innermost: the nodes fall into consecutive runs of degree + 1,
+    each the (x_0, x_1) circle rotations by 2 pi k / (degree + 1) of its
+    first node at one weight, with the other coordinates held.
     """
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
@@ -180,6 +181,23 @@ def sphere_surface_quadrature(dim: int, degree: int) -> QuadratureMeasure:
         raise ValueError(f"degree must be nonnegative, got {degree}")
     nodes, weights = _product_nodes(dim, degree)
     return QuadratureMeasure(nodes, weights, degree=degree)
+
+
+def _azimuth_period(measure: DiscreteSignedMeasure) -> int:
+    """Order q of the (x_0, x_1) rotations that map the measure to itself, or 1.
+
+    q = degree + 1 is checked on the layout of sphere_surface_quadrature:
+    each run of q atoms is its first turned by 2 pi k / q to within 1e-14,
+    with the other coordinates and the weight held along the run.
+    """
+    q = (getattr(measure, "degree", None) or 0) + 1
+    if q == 1 or len(measure.points) % q:
+        return 1
+    runs = measure.points.reshape(-1, q, measure.points.shape[1])
+    weights, plane = measure.weights.reshape(-1, q), runs[..., 0] + 1j * runs[..., 1]
+    turned = np.exp(2j * math.pi * np.arange(q) / q) * plane[:, :1]
+    held = np.all(runs[..., 2:] == runs[:, :1, 2:]) and np.all(weights == weights[:, :1])
+    return q if held and np.all(np.abs(plane - turned) <= 1e-14) else 1
 
 
 def potential_values(measure: DiscreteSignedMeasure, targets) -> np.ndarray:
@@ -312,16 +330,6 @@ def _kernel_sum(sources, weights, targets, exponent, name="atom") -> np.ndarray:
                 if error is not None:
                     raise error
     return out
-
-
-def newtonian_potential(measure, x) -> float:
-    """Potential value at a single point."""
-    return float(potential_values(measure, np.asarray(x, dtype=float)[None, :])[0])
-
-
-def potential_on_shell(measure, cfg: ShellConfig, quad: QuadratureMeasure) -> np.ndarray:
-    """Profile of U at r times each quadrature node (always off-support)."""
-    return potential_values(measure, cfg.r * quad.nodes)
 
 
 def conjugate_exponent(p: float) -> float:

@@ -8,12 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spherekh import cli
+from spherekh import cli, discrepancy
 from spherekh.cli import main, parse_args
 from spherekh.fileio import write_field_json, write_measure_csv, write_points_csv
 from spherekh.geom import random_points
 from spherekh.harmonic import random_field
-from spherekh.measures import DiscreteSignedMeasure
+from spherekh.measures import DiscreteSignedMeasure, potential_values
 
 
 @pytest.fixture()
@@ -399,6 +399,21 @@ def test_thm4a_run(tmp_path):
     res = doc["result"]
     assert res["measured_sup"] <= res["bound"]
     assert doc["rule_mass"] == pytest.approx(4 * math.pi, rel=1e-12)
+
+
+def test_thm4a_sums_the_mu_term_once_per_azimuth_orbit(tmp_path, monkeypatch):
+    pairs = []
+
+    def counted(measure, targets):
+        values = potential_values(measure, targets)
+        pairs.append(len(measure.points) * len(values))
+        return values
+
+    monkeypatch.setattr(discrepancy, "potential_values", counted)
+    argv = ["thm4a", "--d", "3", "--n", "4096", "--mu-degree", "30"]
+    assert main(argv + ["--out", str(tmp_path / "t4a.json")]) == 0
+    # the plain sums take 7936 x 7936 pairs for mu alone
+    assert len(pairs) == 2 and sum(pairs) <= 32_000_000
 
 
 def test_thm4b_success_and_gate_failure(tmp_path, capsys):

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from spherekh.discrepancy import (
     AdmissibleWindowError,
     GateConditionError,
-    _rule_error_measure,
+    _rule_error_profile,
     difference_measure,
     duality_bound,
     kh_identity,
@@ -236,6 +236,49 @@ def test_partition_weights_sum_to_mass():
     assert np.all(w >= 0)
 
 
+def _matched(d, n):
+    part = equal_area_partition(d, n)
+    return match_partition_to_scattering(part, Scattering(representatives(part)))
+
+
+def _check_profile_against_difference_measure(mu, matched, probe):
+    weights = partition_weights(mu, matched)
+    sigma = difference_measure(mu, DiscreteSignedMeasure(matched.reps, weights))
+    d = mu.dim
+    for r in (0.5, 0.7, 0.9):
+        new = _rule_error_profile(mu, matched, weights, r, probe)
+        old = potential_values(sigma, r * probe.nodes)
+        # both sums round at the scale of U_mu, at most mass / (1 - r)^(d-1)
+        atol = 1e-14 * mu.mass / (1 - r) ** (d - 1)
+        assert_allclose(new, old, rtol=1e-12, atol=atol)
+        assert_allclose(np.max(np.abs(new)), np.max(np.abs(old)), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d, degree, n", [(2, 60, 4096), (2, 21, 300), (3, 30, 1000), (4, 10, 800), (5, 6, 600)]
+)
+def test_rule_error_profile_of_product_rules(d, degree, n):
+    mu = sphere_surface_quadrature(d, degree)
+    assert measures._azimuth_period(mu) == degree + 1
+    _check_profile_against_difference_measure(mu, _matched(d, n), mu)
+
+
+def test_rule_error_profile_of_scaled_mu_on_probe_nodes():
+    probe = sphere_surface_quadrature(3, 20)
+    mu = QuadratureMeasure(probe.nodes, 0.25 * probe.weights, 20)
+    assert measures._azimuth_period(mu) == 21
+    _check_profile_against_difference_measure(mu, _matched(3, 700), probe)
+
+
+def test_rule_error_profile_of_non_product_mu():
+    rng = np.random.default_rng(19)
+    mu = QuadratureMeasure(random_points(2, 930, rng), rng.uniform(0.5, 1.5, 930), 30)
+    probe = sphere_surface_quadrature(2, 30)
+    assert measures._azimuth_period(mu) == 1
+    assert measures._azimuth_period(probe) == 31
+    _check_profile_against_difference_measure(mu, _matched(2, 500), probe)
+
+
 def test_partition_rule_bound_whole_sphere():
     part = equal_area_partition(2, 1)
     matched = match_partition_to_scattering(
@@ -327,7 +370,9 @@ def _eight_radius_pipeline(scattering, mu, epsilon, r0):
     window_quotient = (d - 1) * mu.mass * pnorm / epsilon
     r_upper = 1.0 - window_quotient ** (1.0 / (d + 1))
     radii = r0 + (r_upper - r0) * np.arange(1, 9) / 9.0
-    sigma = _rule_error_measure(mu, reduction.partition)
+    part = reduction.partition
+    weights = partition_weights(mu, part)
+    sigma = difference_measure(mu, DiscreteSignedMeasure(part.reps, weights))
     probe = sphere_surface_quadrature(d, 40)
     sups = tuple(
         float(np.max(np.abs(potential_values(sigma, r * probe.nodes)))) for r in radii
@@ -358,7 +403,8 @@ def test_one_radius_matches_eight_radius_max(d, n, seed, mu_degree):
     eps = 2.0 * (d - 1) * gate_c * mu.mass * mesh_norm(scattering).upper
     rep = reduction_pipeline(scattering, mu, eps, 0.3)
     old = _eight_radius_pipeline(scattering, mu, eps, 0.3)
-    assert rep.measured_sup == old["measured_sup"]
+    # the report sums U_mu and U_nu apart, the oracle the merged sigma
+    assert_allclose(rep.measured_sup, old["measured_sup"], rtol=1e-12)
     assert rep.radius == old["top_radius"]
     for key in ("bound", "partition_norm", "mesh_norm_interval", "r_admissible_upper"):
         assert getattr(rep, key) == old[key]

@@ -19,27 +19,14 @@ from spherekh.geom import (
     _nearest_points,
     _thread_count,
     equal_area_partition,
-    euclidean_distance,
     match_partition_to_scattering,
     mesh_norm,
     partition_norm,
     random_points,
     reduce_scattering,
     representatives,
-    unit_vector,
 )
 from spherekh.specfun import surface_area
-
-
-def test_unit_vector():
-    assert_allclose(unit_vector([3.0, 4.0]), [0.6, 0.8], rtol=1e-15)
-    with pytest.raises(ValueError):
-        unit_vector([0.0, 1e-13])
-
-
-def test_euclidean_distance():
-    assert euclidean_distance([1, 0, 0], [-1, 0, 0]) == 2.0
-    assert euclidean_distance([0, 0, 1], [0, 0, 1]) == 0.0
 
 
 def test_random_points_seeded_and_unit():

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from spherekh import geom, measures
 from spherekh.discrepancy import (
-    _rule_error_measure,
+    _rule_error_profile,
     difference_measure,
     partition_weights,
 )
@@ -25,8 +25,6 @@ from spherekh.measures import (
     ZonalCoefficients,
     balayage_transform,
     conjugate_exponent,
-    newtonian_potential,
-    potential_on_shell,
     potential_values,
     shell_norm,
     shell_zonal_potential_profile,
@@ -46,6 +44,10 @@ from spherekh.specfun import (
 
 def atom(*coords, weight=1.0):
     return DiscreteSignedMeasure(np.array([coords], dtype=float), np.array([weight]))
+
+
+def potential_at(measure, x) -> float:
+    return float(potential_values(measure, [x])[0])
 
 
 def test_shell_config_validation():
@@ -100,13 +102,13 @@ def test_quadrature_kills_low_degree_zonal_harmonics():
 
 
 def test_potential_trivial_values():
-    assert_allclose(newtonian_potential(atom(0, 0, 1), [0, 0, 0]), 1.0, rtol=0)
+    assert_allclose(potential_at(atom(0, 0, 1), [0, 0, 0]), 1.0, rtol=0)
     dipole = DiscreteSignedMeasure(
         np.array([[0.0, 0, 1], [0, 0, -1.0]]), np.array([1.0, -1.0])
     )
-    assert newtonian_potential(dipole, [0, 0, 0]) == 0.0
+    assert potential_at(dipole, [0, 0, 0]) == 0.0
     # d=2 kernel is 1/distance
-    assert_allclose(newtonian_potential(atom(0, 0, 1), [0, 0, 0.2]), 1.25, rtol=1e-14)
+    assert_allclose(potential_at(atom(0, 0, 1), [0, 0, 0.2]), 1.25, rtol=1e-14)
 
 
 def test_uniform_surrogate_potential_constant_inside():
@@ -121,7 +123,7 @@ def test_uniform_surrogate_potential_constant_inside():
 def test_singularity_guard():
     m = atom(0, 0, 1)
     with pytest.raises(SingularityError, match="atom 0"):
-        newtonian_potential(m, [0, 0, 1])
+        potential_at(m, [0, 0, 1])
 
 
 def _pairwise_potential(points, weights, targets):
@@ -218,16 +220,39 @@ def test_rule_error_measure_drops_only_zero_weight_atoms():
     unpruned = difference_measure(
         mu, DiscreteSignedMeasure(representatives(matched), weights)
     )
-    pruned = _rule_error_measure(mu, matched)
-    assert len(pruned.points) == len(unpruned.points) - int(np.sum(weights == 0))
     assert np.sum(weights == 0) > 2000
     probe = sphere_surface_quadrature(2, 20)
     for r in (0.3, 0.6, 0.9):
         sups = [
-            np.max(np.abs(potential_values(sigma, r * probe.nodes)))
-            for sigma in (pruned, unpruned)
+            np.max(np.abs(_rule_error_profile(mu, matched, weights, r, probe))),
+            np.max(np.abs(potential_values(unpruned, r * probe.nodes))),
         ]
         assert_allclose(sups[0], sups[1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("dim, degree", [(2, 0), (2, 1), (2, 60), (3, 30), (4, 11), (5, 6)])
+def test_azimuth_period_of_product_rules(dim, degree):
+    q = sphere_surface_quadrature(dim, degree)
+    assert measures._azimuth_period(q) == degree + 1
+
+
+def test_azimuth_period_is_one_without_the_symmetry():
+    q = sphere_surface_quadrature(3, 20)
+    nudged = q.points.copy()
+    nudged[30, 0] += 1e-10
+    permuted = q.points.copy()
+    permuted[[22, 23]] = permuted[[23, 22]]
+    weights = q.weights.copy()
+    weights[45] *= 1.0 + 1e-15
+    for measure in (
+        QuadratureMeasure(nudged, q.weights, 20),
+        QuadratureMeasure(permuted, q.weights, 20),
+        QuadratureMeasure(q.points, weights, 20),
+        QuadratureMeasure(q.points, q.weights),
+        DiscreteSignedMeasure(q.points, q.weights),
+        QuadratureMeasure(np.eye(3), np.ones(3), 30),
+    ):
+        assert measures._azimuth_period(measure) == 1
 
 
 def test_potential_linearity():
@@ -260,13 +285,13 @@ def test_mean_value_property():
     for rho in (0.1, 0.3):
         shell_pts = center + rho * sub.nodes
         avg = float(sub.weights @ potential_values(sigma, shell_pts)) / sub.mass
-        assert_allclose(avg, newtonian_potential(sigma, center), rtol=1e-10)
+        assert_allclose(avg, potential_at(sigma, center), rtol=1e-10)
 
 
 def test_shell_profile_bounds_for_single_atom():
     cfg = ShellConfig(0.2, 0.55)
     quad = sphere_surface_quadrature(2, 30)
-    prof = potential_on_shell(atom(0, 0, 1), cfg, quad)
+    prof = potential_values(atom(0, 0, 1), cfg.r * quad.nodes)
     assert np.all(prof >= (1 + cfg.r) ** (1 - 2) - 1e-15)
     assert np.all(prof <= (1 - cfg.r) ** (1 - 2) + 1e-15)
 
@@ -280,7 +305,7 @@ def test_shell_profile_antisymmetry():
     sigma = DiscreteSignedMeasure(
         np.array([pole, -pole]), np.array([1.0, -1.0])
     )
-    prof = potential_on_shell(sigma, cfg, quad)
+    prof = potential_values(sigma, cfg.r * quad.nodes)
     mirrored = potential_values(sigma, -cfg.r * quad.nodes)
     assert_allclose(mirrored, -prof, atol=1e-12)
 
